@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <new>
 #include <utility>
 
@@ -218,42 +217,6 @@ struct BigSweepPoint {
   std::vector<ShardUtil> shard_util;
 };
 
-/// Pulls {stage name -> p50_ns} out of a previously written report, so a
-/// run can record its per-stage speedup against a reference build (e.g.
-/// the -DAF_SIMD=OFF tree tools/run_bench.sh prepares). The stages array
-/// is emitted by this bench on a known single-line shape; scanning for
-/// the "name"/"p50_ns" pairs is enough.
-std::vector<std::pair<std::string, double>> parse_ref_stage_p50s(
-    const std::string& path) {
-  std::vector<std::pair<std::string, double>> out;
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "bench_inference: cannot read --ref-report " << path
-              << ", skipping stage speedups\n";
-    return out;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const std::size_t stages = text.find("\"stages\": [");
-  if (stages == std::string::npos) return out;
-  const std::size_t end = text.find(']', stages);
-  std::size_t pos = stages;
-  while (true) {
-    const std::size_t name_at = text.find("{\"name\": \"", pos);
-    if (name_at == std::string::npos || name_at > end) break;
-    const std::size_t name_begin = name_at + 10;
-    const std::size_t name_end = text.find('"', name_begin);
-    const std::size_t p50_at = text.find("\"p50_ns\": ", name_end);
-    if (name_end == std::string::npos || p50_at == std::string::npos ||
-        p50_at > end)
-      break;
-    out.emplace_back(text.substr(name_begin, name_end - name_begin),
-                     std::strtod(text.c_str() + p50_at + 10, nullptr));
-    pos = p50_at;
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -268,13 +231,6 @@ int main(int argc, char** argv) {
   cli.add_flag("baseline-fps", "0",
                "single-thread frames/sec of the path being compared "
                "against (0 = no comparison recorded)");
-  cli.add_flag("ref-report", "",
-               "previously written report to compute per-stage p50 "
-               "speedups against (empty = none recorded)");
-  cli.add_flag("probe-ref-report", "",
-               "report from an AF_PROBE_INCREMENTAL=0 run of this build; "
-               "records probe_speedup_vs_ref (batch probe p50 / this "
-               "run's incremental probe p50; empty = none recorded)");
   cli.add_flag("out", "BENCH_inference.json", "JSON report path");
   const auto args = bench::parse_args(
       argc, argv, "bench_inference",
@@ -289,8 +245,6 @@ int main(int argc, char** argv) {
   const auto big_frames =
       static_cast<std::size_t>(cli.get_int("big-frames"));
   const double baseline_fps = cli.get_double("baseline-fps");
-  const std::string ref_report = cli.get("ref-report");
-  const std::string probe_ref_report = cli.get("probe-ref-report");
 
   std::cout << "simd tier: " << simd::tier_name(simd::active_tier())
             << " (detected " << simd::tier_name(simd::detected_tier())
@@ -429,18 +383,6 @@ int main(int argc, char** argv) {
 
   const double speedup =
       baseline_fps > 0.0 ? single.frames_per_sec / baseline_fps : 0.0;
-  const std::vector<std::pair<std::string, double>> ref_stages =
-      ref_report.empty() ? std::vector<std::pair<std::string, double>>{}
-                         : parse_ref_stage_p50s(ref_report);
-  // The incremental-probe win: probe-stage p50 of a batch-probe run of
-  // this same build (AF_PROBE_INCREMENTAL=0) over this run's p50.
-  double probe_ref_p50 = 0.0, probe_p50 = 0.0;
-  if (!probe_ref_report.empty()) {
-    for (const auto& [name, p50] : parse_ref_stage_p50s(probe_ref_report))
-      if (name == std::string("probe")) probe_ref_p50 = p50;
-    for (const auto& s : single.stages)
-      if (s.name == std::string("probe")) probe_p50 = s.p50_ns;
-  }
   const auto emit = [&](std::ostream& os) {
     os << "{\n";
     os << "  \"simd_tier\": \"" << simd::tier_name(simd::active_tier())
@@ -467,28 +409,6 @@ int main(int argc, char** argv) {
          << ", \"p999_ns\": " << s.p999_ns << "}";
     }
     os << "],\n";
-    if (!ref_stages.empty()) {
-      // Per-stage p50 speedup vs the reference report (typically the
-      // -DAF_SIMD=OFF tree): ref_p50 / this run's p50, per shared stage.
-      os << "  \"stage_speedup_vs_ref\": [";
-      bool first = true;
-      for (const auto& s : single.stages) {
-        for (const auto& [name, ref_p50] : ref_stages) {
-          if (name != s.name || s.p50_ns <= 0.0) continue;
-          os << (first ? "" : ", ") << "{\"name\": \"" << s.name
-             << "\", \"ref_p50_ns\": " << ref_p50
-             << ", \"p50_ns\": " << s.p50_ns
-             << ", \"speedup\": " << ref_p50 / s.p50_ns << "}";
-          first = false;
-        }
-      }
-      os << "],\n";
-    }
-    if (probe_ref_p50 > 0.0 && probe_p50 > 0.0) {
-      os << "  \"probe_speedup_vs_ref\": {\"ref_p50_ns\": " << probe_ref_p50
-         << ", \"p50_ns\": " << probe_p50
-         << ", \"speedup\": " << probe_ref_p50 / probe_p50 << "},\n";
-    }
     os << "  \"host_scaling\": [";
     for (std::size_t i = 0; i < counts.size(); ++i) {
       os << (i ? ", " : "") << "{\"threads\": " << counts[i]

@@ -1,11 +1,8 @@
-// Scalar reference table + runtime tier dispatch for the AF_SIMD kernel
+// Scalar reference table + runtime tier dispatch for the SIMD kernel
 // layer (DESIGN.md §15).
 #include "common/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 
 #include "common/simd_kernels.inl"
 
@@ -27,13 +24,11 @@ const Kernels& scalar_table() {
       &scalar_goertzel_batch,
       &scalar_fft_stage,
       &scalar_forest_leaves,
-      &scalar_sum_fast,
-      &scalar_dot_fast,
   };
   return table;
 }
 
-#if AF_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
+#if defined(__x86_64__) || defined(_M_X64)
 #define AF_SIMD_HAVE_X86 1
 const Kernels& sse2_table();  // simd_sse2.cpp
 const Kernels& avx2_table();  // simd_avx2.cpp
@@ -41,7 +36,7 @@ const Kernels& avx2_table();  // simd_avx2.cpp
 #define AF_SIMD_HAVE_X86 0
 #endif
 
-#if AF_SIMD_ENABLED && defined(__aarch64__)
+#if defined(__aarch64__)
 #define AF_SIMD_HAVE_NEON 1
 const Kernels& neon_table();  // simd_neon.cpp
 #else
@@ -80,27 +75,7 @@ const Kernels* table_for(Tier tier) {
   return nullptr;
 }
 
-std::optional<Tier> parse_tier(const char* name) {
-  if (std::strcmp(name, "scalar") == 0) return Tier::kScalar;
-  if (std::strcmp(name, "sse2") == 0) return Tier::kSSE2;
-  if (std::strcmp(name, "avx2") == 0) return Tier::kAVX2;
-  if (std::strcmp(name, "neon") == 0) return Tier::kNEON;
-  return std::nullopt;
-}
-
 std::atomic<const Kernels*> g_active{nullptr};
-
-const Kernels* initial_table() {
-  Tier tier = detected_tier();
-  if (const char* env = std::getenv("AF_SIMD_TIER")) {
-    // An unknown or unavailable override is ignored rather than fatal:
-    // the variable is a test/diagnostic hook, not configuration.
-    if (const auto requested = parse_tier(env);
-        requested && table_for(*requested))
-      tier = *requested;
-  }
-  return table_for(tier);
-}
 
 }  // namespace
 
@@ -132,7 +107,7 @@ Tier detected_tier() {
 const Kernels& kernels() {
   const Kernels* active = g_active.load(std::memory_order_acquire);
   if (active == nullptr) {
-    const Kernels* resolved = initial_table();
+    const Kernels* resolved = table_for(detected_tier());
     // Lost races are benign: every first-caller resolves the same table,
     // and a concurrent set_tier() simply wins.
     const Kernels* expected = nullptr;

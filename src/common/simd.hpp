@@ -1,4 +1,4 @@
-// AF_SIMD kernel layer: runtime-dispatched vector kernels for the
+// SIMD kernel layer: runtime-dispatched vector kernels for the
 // dsp/features/ml hot path (DESIGN.md §15).
 //
 // The layer is a table of function pointers (`Kernels`) resolved once at
@@ -6,22 +6,14 @@
 // x86-64, NEON on aarch64). Call sites fetch the table via kernels() and
 // never branch on the architecture themselves.
 //
-// Exactness contract: every kernel above the `fast-math` divider is
-// BIT-IDENTICAL to the scalar reference implementation on every tier. The
-// vector variants achieve this by laning across *independent outputs*
-// (moving-average positions, ACF lags, CWT output samples, Goertzel
-// frequencies, trees) so each lane reproduces the scalar accumulation
-// order, or by counting integers (entropy matches, peaks), which is
-// order-free. No backend is compiled with FMA, so mul+add sequences cannot
+// Exactness contract: every kernel is BIT-IDENTICAL to the scalar
+// reference implementation on every tier. The vector variants achieve
+// this by laning across *independent outputs* (moving-average positions,
+// ACF lags, CWT output samples, Goertzel frequencies, trees) so each lane
+// reproduces the scalar accumulation order, or by counting integers
+// (entropy matches, peaks), which is order-free. No backend is compiled with FMA, so mul+add sequences cannot
 // be contracted. The scalar table entries ARE the reference: the former
 // open-coded loops in dsp/ and features/ moved here verbatim.
-//
-// The two kernels below the divider (sum_fast / dot_fast) reassociate a
-// single reduction across lanes and are only epsilon-equivalent; call
-// sites route through them solely under -DAF_SIMD_FAST_MATH=ON (see
-// common/reduce.hpp). They exist in every table — including scalar, where
-// they fall back to the serial order — so tests can gate them in any
-// build.
 //
 // Thread safety: kernels() is safe to call concurrently. set_tier() is a
 // test hook; call it only while no other thread is inside a kernel.
@@ -29,10 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#ifndef AF_SIMD_ENABLED
-#define AF_SIMD_ENABLED 0
-#endif
 
 namespace airfinger::simd {
 
@@ -43,8 +31,6 @@ const char* tier_name(Tier tier);
 
 struct Kernels {
   Tier tier = Tier::kScalar;
-
-  // ---- exact tier: bit-identical to the scalar reference on all tiers ----
 
   /// acc[i] += x[i] for i in [0, n).
   void (*accumulate)(double* acc, const double* x, std::size_t n);
@@ -114,26 +100,16 @@ struct Kernels {
   void (*forest_leaves)(const std::int32_t* feature, const double* threshold,
                         const std::int32_t* child, const double* x,
                         std::int32_t* idx, std::size_t count);
-
-  // ---- fast-math tier: reassociated, epsilon contract only ----
-
-  /// sum(x) with lane-parallel partial sums. NOT bit-stable across tiers.
-  double (*sum_fast)(const double* x, std::size_t n);
-
-  /// dot(a, b) with lane-parallel partial sums. NOT bit-stable across
-  /// tiers. dot_fast(x, x, n) is the fast energy reduction.
-  double (*dot_fast)(const double* a, const double* b, std::size_t n);
 };
 
 /// The active kernel table. First call resolves the tier: the best the
-/// CPU supports, unless the AF_SIMD_TIER environment variable ("scalar",
-/// "sse2", "avx2", "neon") names an available tier.
+/// CPU supports.
 const Kernels& kernels();
 
 /// Tier of the active table.
 Tier active_tier();
 
-/// Best tier this build + CPU supports, ignoring overrides.
+/// Best tier this build + CPU supports, ignoring set_tier().
 Tier detected_tier();
 
 /// Forces the active table (test hook). Returns false — leaving the

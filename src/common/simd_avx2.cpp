@@ -1,4 +1,4 @@
-// AVX2 backend of the AF_SIMD kernel layer (4 lanes).
+// AVX2 backend of the SIMD kernel layer (4 lanes).
 //
 // This translation unit alone is compiled with -mavx2 — deliberately NOT
 // -mfma: with FMA available the compiler could contract the mul+add
@@ -7,13 +7,14 @@
 // the scalar reference. Runtime dispatch (simd.cpp) guarantees this code
 // only runs on CPUs reporting AVX2.
 //
-// Beyond the generic templates, AVX2 supplies the two kernels that need
-// its specific instructions: the radix-2 FFT stage (two complex
-// butterflies per vector via addsub) and the batched forest descent (four
-// trees per lane-group via masked gathers).
+// Beyond the generic templates, AVX2 supplies one kernel that needs its
+// specific instructions: the radix-2 FFT stage (two complex butterflies
+// per vector via addsub). Forest descent takes the shared 4-way
+// software-interleaved walk (interleaved_forest_leaves), like SSE2 and
+// NEON; see below for why AVX2 has no gather variant.
 #include "common/simd.hpp"
 
-#if AF_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
+#if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
@@ -103,12 +104,10 @@ const Kernels& avx2_table() {
       &goertzel_batch_v<Avx2Ops>,
       &avx2_fft_stage,
       &interleaved_forest_leaves,
-      &sum_fast_v<Avx2Ops>,
-      &dot_fast_v<Avx2Ops>,
   };
   return table;
 }
 
 }  // namespace airfinger::simd::detail
 
-#endif  // AF_SIMD_ENABLED && x86-64
+#endif  // x86-64

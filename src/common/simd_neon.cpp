@@ -1,4 +1,4 @@
-// NEON backend of the AF_SIMD kernel layer (aarch64, 2 lanes).
+// NEON backend of the SIMD kernel layer (aarch64, 2 lanes).
 //
 // aarch64 has fused multiply-add in its baseline ISA and GCC defaults to
 // -ffp-contract=fast there, so the *scalar reference* mul+add loops may
@@ -11,7 +11,6 @@
 //   - accumulate, moving_average_range: additions only, nothing to fuse.
 //   - count_matches, apen_phi, count_peaks_at_least: compare + integer
 //     count; the subtraction inside the Chebyshev test is a lone sub.
-//   - sum_fast / dot_fast: epsilon contract by definition.
 //
 // The mul+add kernels (acf_numerators, conv_clipped, goertzel_batch,
 // fft_stage) keep the scalar reference — on NEON both "variants" are
@@ -21,7 +20,7 @@
 // hazard) and wins on ILP alone.
 #include "common/simd.hpp"
 
-#if AF_SIMD_ENABLED && defined(__aarch64__)
+#if defined(__aarch64__)
 
 #include <arm_neon.h>
 
@@ -69,12 +68,10 @@ const Kernels& neon_table() {
       &scalar_goertzel_batch,  // mul+add: contraction hazard
       &scalar_fft_stage,       // mul+add: contraction hazard
       &interleaved_forest_leaves,  // ILP descent, scalar ISA: no hazard
-      &sum_fast_v<NeonOps>,
-      &dot_fast_v<NeonOps>,
   };
   return table;
 }
 
 }  // namespace airfinger::simd::detail
 
-#endif  // AF_SIMD_ENABLED && __aarch64__
+#endif  // __aarch64__

@@ -1,4 +1,4 @@
-// SSE2 backend of the AF_SIMD kernel layer (x86-64 baseline, 2 lanes).
+// SSE2 backend of the SIMD kernel layer (x86-64 baseline, 2 lanes).
 //
 // Compiled without any extra ISA flags: SSE2 is part of the x86-64
 // baseline, and crucially no FMA is available, so mul+add sequences in the
@@ -9,7 +9,7 @@
 // lose on every tier; see simd_kernels.inl).
 #include "common/simd.hpp"
 
-#if AF_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
+#if defined(__x86_64__) || defined(_M_X64)
 
 #include <emmintrin.h>
 
@@ -61,12 +61,10 @@ const Kernels& sse2_table() {
       &goertzel_batch_v<Sse2Ops>,
       &scalar_fft_stage,
       &interleaved_forest_leaves,
-      &sum_fast_v<Sse2Ops>,
-      &dot_fast_v<Sse2Ops>,
   };
   return table;
 }
 
 }  // namespace airfinger::simd::detail
 
-#endif  // AF_SIMD_ENABLED && x86-64
+#endif  // x86-64

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -17,19 +16,6 @@ dsp::SegmenterConfig session_segmenter_config(
   dsp::SegmenterConfig seg = bundle->config().processing.segmenter;
   seg.sample_rate_hz = bundle->config().sample_rate_hz;
   return seg;
-}
-
-// AF_PROBE_INCREMENTAL=0 forces the early-direction probe onto the batch
-// segment_timing() path (no cache, no change-detection gate). Emissions
-// are bit-identical either way — tools/run_checks.sh replays the golden
-// traces with this set to prove it — so the switch exists purely as a
-// byte-exact cross-check and an escape hatch.
-bool incremental_probe_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("AF_PROBE_INCREMENTAL");
-    return v == nullptr || !(v[0] == '0' && v[1] == '\0');
-  }();
-  return enabled;
 }
 }  // namespace
 
@@ -55,7 +41,7 @@ Session::Session(std::shared_ptr<const ModelBundle> bundle,
     ch.reserve(config().history_limit + config().history_limit / 2);
   open_view_.sample_rate_hz = config().sample_rate_hz;
   open_view_.delta_rss2.resize(config().channels);
-  if (config().channels <= kMaxTimingChannels && incremental_probe_enabled())
+  if (config().channels <= kMaxTimingChannels)
     timing_cache_.configure(config().channels, config().sample_rate_hz,
                             bundle_->probe_timing_config());
   last_sample_.assign(config().channels,

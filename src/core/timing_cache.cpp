@@ -125,7 +125,7 @@ void OpenSegmentTiming::advance_moving_average(std::span<const double> x,
   // An entry i of moving_average(x, w) reads x[max(0, i-half) .. i+half];
   // at a previous length m it was final iff i + half + 1 <= m. Recompute
   // only the trailing entries the grow invalidated, through the same
-  // AF_SIMD moving_average_range kernel moving_average_into uses, so each
+  // SIMD moving_average_range kernel moving_average_into uses, so each
   // revised entry is bit-identical to a full pass.
   const std::size_t half = w / 2;
   const std::size_t m = out.size();
@@ -152,7 +152,7 @@ bool OpenSegmentTiming::refresh(
   bool changed = !have_refresh_ || (n_ >= 8) != (last_refresh_n_ >= 8);
 
   // Advance the lazy moving-average caches lane by lane — each channel
-  // tail goes through the AF_SIMD moving_average_range kernel back to
+  // tail goes through the SIMD moving_average_range kernel back to
   // back — then rebuild the invalidated tail of the summed smoothed
   // energy with the accumulate kernel (same channel-order additions as
   // the batch path's esum build).

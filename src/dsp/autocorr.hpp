@@ -26,7 +26,7 @@ void acf_into(std::span<const double> x, std::span<double> out);
 
 /// acf_into() with the centred signal hoisted into `arena` scratch: the
 /// mean and the lag-0 denominator are computed once and the per-lag
-/// numerators run through the AF_SIMD acf_numerators kernel. Bit-identical
+/// numerators run through the SIMD acf_numerators kernel. Bit-identical
 /// to the per-lag reference — each accumulator keeps its own serial order
 /// and d[i] = x[i] - m is the same value the reference recomputes.
 /// Requires non-empty x.

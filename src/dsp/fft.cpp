@@ -13,7 +13,7 @@ namespace {
 // Twiddle factors are the same for every block of a stage (the serial
 // w *= wlen chain restarts at 1 per block), so stages up to this many
 // butterflies hoist them into a stack buffer once and hand the blocks to
-// the AF_SIMD fft_stage kernel. The chain itself stays the serial
+// the SIMD fft_stage kernel. The chain itself stays the serial
 // std::complex product — bit-identical to the former in-loop updates.
 constexpr std::size_t kMaxStackTwiddles = 512;
 

@@ -12,7 +12,7 @@ namespace airfinger::dsp {
 std::vector<double> moving_average(std::span<const double> x, std::size_t w);
 
 /// moving_average writing into caller storage; out.size() == x.size().
-/// Routed through the AF_SIMD moving_average_range kernel, whose lane
+/// Routed through the SIMD moving_average_range kernel, whose lane
 /// groups each reproduce the brute per-sample accumulation order — a
 /// sliding-sum rewrite would change the floating-point addition order and
 /// break the bit-exact determinism contract (DESIGN.md §9, §15).

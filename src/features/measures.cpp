@@ -22,7 +22,7 @@ double default_tolerance(std::span<const double> x, double r) {
 
 /// Counts template matches of length m within tolerance r (Chebyshev
 /// distance), excluding self-matches — shared by SampEn. Match counting
-/// is integer, so the AF_SIMD lane-parallel kernel is exact.
+/// is integer, so the SIMD lane-parallel kernel is exact.
 std::size_t count_matches(std::span<const double> x, unsigned m, double r) {
   return simd::kernels().count_matches(x.data(), x.size(), m, r);
 }

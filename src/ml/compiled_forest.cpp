@@ -82,7 +82,7 @@ void CompiledForest::predict_proba_into(std::span<const double> x,
   const double* leaves = leaf_dist_.data();
   for (double& v : out) v = 0.0;
   // Batch-wise traversal: the forest_leaves kernel descends a chunk of
-  // trees breadth-wise (an AF_SIMD lane-group of trees per step), then the
+  // trees breadth-wise (a SIMD lane-group of trees per step), then the
   // leaf distributions accumulate in tree order — the same order the old
   // one-tree-at-a-time loop used, so the probabilities stay bit-identical.
   constexpr std::size_t kChunk = 64;

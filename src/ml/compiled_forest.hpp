@@ -17,7 +17,7 @@
 //     count. Distributions are non-negative, so accumulating the padding
 //     zeros is bit-identical to the reference path that skips the missing
 //     classes (only -0.0 + 0.0 could differ, and -0.0 never occurs).
-//   - predict_proba_into descends trees in chunks through the AF_SIMD
+//   - predict_proba_into descends trees in chunks through the SIMD
 //     forest_leaves kernel (a lane-group of trees advances one level per
 //     step on vector tiers); every lane follows the exact scalar branch
 //     rule and the leaf accumulation stays in tree order, so batching does

@@ -7,7 +7,10 @@
 // reference bundle) and diffs the emitted events against the committed
 // expectation text byte-for-byte — any behavioural drift anywhere in the
 // pipeline (SBC, segmenter, feature bank, forests, routing, ZEBRA) shows
-// up as an exact textual diff.
+// up as an exact textual diff. Every replay runs once under each SIMD tier
+// simd::set_tier() can activate on the host (scalar, plus SSE2/AVX2 or
+// NEON), so the kernel layer's bit-identity contract is checked end to
+// end, not only kernel by kernel.
 //
 // Both file formats are line-oriented text with hex-float (`%a`) numbers,
 // so round-trips are bit-exact and diffs are reviewable.
@@ -33,6 +36,7 @@
 #include "sensor/artifact.hpp"
 #include "sensor/fault_injector.hpp"
 #include "sensor/trace_io.hpp"
+#include "simd_tiers.hpp"
 #include "synth/dataset.hpp"
 
 #ifndef AF_GOLDEN_DIR
@@ -174,6 +178,13 @@ std::vector<sensor::MultiChannelTrace> synthesize_golden_traces() {
   return traces;
 }
 
+/// Every tier the replays run under. The reference bundle is trained
+/// first, under the detected tier the goldens were recorded with.
+std::vector<simd::Tier> replay_tiers() {
+  golden_bundle();
+  return test::available_tiers();
+}
+
 // ---------------------------------------------------------------- tests
 
 TEST(GoldenReplay, CommittedTracesReplayToCommittedEventsExactly) {
@@ -191,19 +202,25 @@ TEST(GoldenReplay, CommittedTracesReplayToCommittedEventsExactly) {
                     "AF_REGEN_GOLDEN to verify";
   }
 
+  const test::TierGuard guard;
+  const auto tiers = replay_tiers();
   for (const auto& golden : kCases) {
     SCOPED_TRACE(golden.name);
     std::istringstream trace_stream(
         slurp(golden_path(golden.name, ".aftrace")));
     const sensor::MultiChannelTrace trace = sensor::parse_trace(trace_stream);
     ASSERT_GT(trace.sample_count(), 0u);
+    const std::string expected = slurp(golden_path(golden.name, ".afevents"));
 
-    core::Session session(golden_bundle());
-    const auto events = session.process_trace(trace);
-    // Exact textual diff: any drift in the replayed stream shows as a
-    // line-level difference against the committed expectation.
-    EXPECT_EQ(serialize_events(events),
-              slurp(golden_path(golden.name, ".afevents")));
+    for (const simd::Tier tier : tiers) {
+      SCOPED_TRACE(simd::tier_name(tier));
+      ASSERT_TRUE(simd::set_tier(tier));
+      core::Session session(golden_bundle());
+      const auto events = session.process_trace(trace);
+      // Exact textual diff: any drift in the replayed stream shows as a
+      // line-level difference against the committed expectation.
+      EXPECT_EQ(serialize_events(events), expected);
+    }
   }
 }
 
@@ -385,17 +402,23 @@ TEST(GoldenReplay, CommittedStormTracesReplayToCommittedEventsExactly) {
                     "AF_REGEN_GOLDEN to verify";
   }
 
+  const test::TierGuard guard;
+  const auto tiers = replay_tiers();
   for (const StormCase& storm : kStormCases) {
     SCOPED_TRACE(storm.name);
     std::istringstream trace_stream(
         slurp(golden_path(storm.name, ".aftrace")));
     const sensor::MultiChannelTrace trace = sensor::parse_trace(trace_stream);
     ASSERT_GT(trace.sample_count(), 0u);
+    const std::string expected = slurp(golden_path(storm.name, ".afevents"));
 
-    core::Session session(golden_bundle(), storm_case_policy(storm));
-    const auto events = session.process_trace(trace);
-    EXPECT_EQ(serialize_run(events, session.observability()),
-              slurp(golden_path(storm.name, ".afevents")));
+    for (const simd::Tier tier : tiers) {
+      SCOPED_TRACE(simd::tier_name(tier));
+      ASSERT_TRUE(simd::set_tier(tier));
+      core::Session session(golden_bundle(), storm_case_policy(storm));
+      const auto events = session.process_trace(trace);
+      EXPECT_EQ(serialize_run(events, session.observability()), expected);
+    }
   }
 }
 

@@ -1,9 +1,8 @@
-// Locks the AF_SIMD kernel-layer contract (DESIGN.md §15): every kernel
-// above the fast-math divider is bit-identical to the scalar reference on
-// every tier this build + CPU supports, across awkward lengths (1..17 and
-// a few larger ones) that exercise lane-group tails and edges; the
-// fast-math reductions honour their epsilon contract; and the public call
-// sites that batch work (goertzel_magnitudes, batched forest traversal,
+// Locks the SIMD kernel-layer contract (DESIGN.md §15): every kernel is
+// bit-identical to the scalar reference on every tier this build + CPU
+// supports, across awkward lengths (1..17 and a few larger ones) that
+// exercise lane-group tails and edges; and the public call sites that
+// batch work (goertzel_magnitudes, batched forest traversal,
 // FeatureBank extraction, partial moving-average updates) match their
 // one-at-a-time references bit for bit.
 #include <cmath>
@@ -24,10 +23,13 @@
 #include "features/measures.hpp"
 #include "ml/compiled_forest.hpp"
 #include "ml/random_forest.hpp"
+#include "simd_tiers.hpp"
 
 namespace {
 
 using namespace airfinger;
+using test::available_tiers;
+using test::TierGuard;
 
 void expect_bits(double a, double b, const std::string& what) {
   std::uint64_t ba = 0, bb = 0;
@@ -35,21 +37,6 @@ void expect_bits(double a, double b, const std::string& what) {
   std::memcpy(&bb, &b, sizeof(b));
   EXPECT_EQ(ba, bb) << what << ": " << a << " vs " << b;
 }
-
-/// Tiers this build + CPU can actually activate (always includes scalar).
-std::vector<simd::Tier> available_tiers() {
-  std::vector<simd::Tier> tiers;
-  for (const simd::Tier t : {simd::Tier::kScalar, simd::Tier::kSSE2,
-                             simd::Tier::kAVX2, simd::Tier::kNEON})
-    if (simd::set_tier(t)) tiers.push_back(t);
-  simd::set_tier(simd::Tier::kScalar);
-  return tiers;
-}
-
-/// Restores the detected tier when a test ends, whatever it switched to.
-struct TierGuard {
-  ~TierGuard() { simd::set_tier(simd::detected_tier()); }
-};
 
 const std::vector<std::size_t>& awkward_lengths() {
   static const std::vector<std::size_t> lengths = [] {
@@ -98,16 +85,10 @@ TEST(SimdDispatch, TierOverrideAndDetection) {
   // The detected tier must itself be activatable.
   EXPECT_TRUE(simd::set_tier(simd::detected_tier()));
   EXPECT_EQ(simd::active_tier(), simd::detected_tier());
-#if AF_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
+#if defined(__x86_64__) || defined(_M_X64)
   // SSE2 is part of the x86-64 baseline.
   EXPECT_TRUE(simd::set_tier(simd::Tier::kSSE2));
   EXPECT_FALSE(simd::set_tier(simd::Tier::kNEON));
-#endif
-#if !AF_SIMD_ENABLED
-  // SIMD-off builds expose only the scalar table.
-  EXPECT_EQ(simd::detected_tier(), simd::Tier::kScalar);
-  EXPECT_FALSE(simd::set_tier(simd::Tier::kSSE2));
-  EXPECT_FALSE(simd::set_tier(simd::Tier::kAVX2));
 #endif
 }
 
@@ -413,28 +394,6 @@ TEST(SimdKernels, FeatureBankExtractionBitIdenticalAcrossTiers) {
     const std::span<const std::span<const double>> span_windows(windows);
     expect_tiers_match("feature bank n=" + std::to_string(n),
                        [&] { return bank.extract(span_windows); });
-  }
-}
-
-TEST(SimdFastMath, ReductionsHonourEpsilonContract) {
-  TierGuard guard;
-  for (const std::size_t n : awkward_lengths()) {
-    const std::vector<double> a = random_signal(n, 131 + n);
-    const std::vector<double> b = random_signal(n, 137 + n);
-    ASSERT_TRUE(simd::set_tier(simd::Tier::kScalar));
-    const double sum_ref = simd::kernels().sum_fast(a.data(), n);
-    const double dot_ref = simd::kernels().dot_fast(a.data(), b.data(), n);
-    for (const simd::Tier tier : available_tiers()) {
-      ASSERT_TRUE(simd::set_tier(tier));
-      const double sum_got = simd::kernels().sum_fast(a.data(), n);
-      const double dot_got = simd::kernels().dot_fast(a.data(), b.data(), n);
-      // Reassociated sums: epsilon contract, scaled to the term count.
-      const double tol = 1e-12 * static_cast<double>(n + 1);
-      EXPECT_NEAR(sum_got, sum_ref, tol * (1.0 + std::fabs(sum_ref)))
-          << "sum_fast tier=" << simd::tier_name(tier) << " n=" << n;
-      EXPECT_NEAR(dot_got, dot_ref, tol * (1.0 + std::fabs(dot_ref)))
-          << "dot_fast tier=" << simd::tier_name(tier) << " n=" << n;
-    }
   }
 }
 

@@ -5,7 +5,9 @@
 #   2. observability: the instrumentation determinism/aggregation suites
 #   3. asan:   ASan/UBSan build of the model/session/concurrency suites
 #   4. bench:  hot-path microbenchmark smoke (incl. 0-allocs/frame check)
-#   5. tsan:   tools/run_tsan.sh (ThreadSanitizer, multi-thread pool)
+#   5. perfbench: `perfbench/run.py --selftest` (harness unit tests plus a
+#              tiny smoke run of every benchmark workload)
+#   6. tsan:   tools/run_tsan.sh (ThreadSanitizer, multi-thread pool)
 #
 # Usage: tools/run_checks.sh [--soak] [--robustness-smoke] [--trace-smoke]
 # [build-dir]   (default build-dir: build)
@@ -50,16 +52,6 @@ ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 echo "== robustness: fault-injection + fuzz + golden-replay suites =="
 ctest --test-dir "${BUILD}" --output-on-failure -L robustness -j "$(nproc)"
 
-echo "== probe parity: goldens must replay byte-identical with the =="
-echo "== incremental probe disabled (AF_PROBE_INCREMENTAL=0)        =="
-# The default suite above replayed the goldens over the incremental
-# probe; replaying them again over the batch probe proves the two probe
-# implementations emit byte-identical streams both ways, not just on the
-# synthetic corpora the unit tests cover.
-AF_PROBE_INCREMENTAL=0 "${BUILD}/tests/golden_replay_test"
-AF_PROBE_INCREMENTAL=0 "${BUILD}/tests/probe_test" \
-  --gtest_filter='IncrementalProbe.ParallelFeedersAreBitIdenticalToInlineHost'
-
 echo "== observability: metrics/tracing determinism suites =="
 ctest --test-dir "${BUILD}" --output-on-failure -L observability -j "$(nproc)"
 
@@ -84,21 +76,6 @@ cmake --build "${ASAN_BUILD}" -j \
 "${ASAN_BUILD}/tests/obs_test"
 "${ASAN_BUILD}/tests/obs_pipeline_test"
 "${ASAN_BUILD}/tests/trace_test"
-
-echo "== simd-off cross-check: -DAF_SIMD=OFF tree must replay the goldens =="
-# The default (AF_SIMD=ON) tree already proved golden byte-identity above;
-# replaying the same goldens from a scalar-only tree proves the two trees
-# produce byte-identical pipelines transitively, and simd_test keeps the
-# kernel layer honest when only the scalar table is compiled in.
-SIMD_OFF_BUILD="${BUILD}/aux/simd-off"
-cmake -B "${SIMD_OFF_BUILD}" -S "${ROOT}" -DAF_SIMD=OFF
-cmake --build "${SIMD_OFF_BUILD}" -j \
-  --target golden_replay_test simd_test compiled_forest_test dsp_test features_test
-"${SIMD_OFF_BUILD}/tests/golden_replay_test"
-"${SIMD_OFF_BUILD}/tests/simd_test"
-"${SIMD_OFF_BUILD}/tests/compiled_forest_test"
-"${SIMD_OFF_BUILD}/tests/dsp_test"
-"${SIMD_OFF_BUILD}/tests/features_test"
 
 if [[ "${TRACE_SMOKE}" == "1" ]]; then
   echo "== trace smoke: exporter determinism + cross-gate golden guard =="
@@ -134,6 +111,9 @@ fi
 
 echo "== bench smoke: hot-path microbenchmark builds and runs =="
 "${ROOT}/tools/run_bench.sh" --smoke "${BUILD}/aux/bench"
+
+echo "== perfbench selftest: benchmark harness tests + per-workload smoke =="
+python3 "${ROOT}/perfbench/run.py" --selftest
 
 if [[ "${ROBUSTNESS_SMOKE}" == "1" ]]; then
   echo "== robustness smoke: artifact detection-quality gates =="
