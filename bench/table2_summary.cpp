@@ -1,6 +1,11 @@
-// Table II — performance summary: per-gesture accuracy of the detect-aimed
+// Table II — performance summary: per-gesture scores of the detect-aimed
 // gestures (5-fold CV), scroll-direction accuracy via ZEBRA, and the
 // velocity/displacement rating.
+//
+// Two per-gesture metrics are printed side by side. One-vs-rest accuracy,
+// (TP + TN) / N, counts every correctly rejected other-class sample, so it
+// stays high for a class the forest often misses. Recall, TP / (TP + FN),
+// is the paper's per-class metric (Fig. 10) and exposes such a class.
 //
 // The paper's 1–3 rating came from volunteers watching a scrolling
 // interface (2.6/3.0 average, 90% noticed no mismatch). Our objective
@@ -24,7 +29,7 @@ int main(int argc, char** argv) {
       "Table II: overall performance summary");
   if (!args) return 0;
 
-  // --- Detect-aimed per-gesture accuracy (5-fold CV over all samples).
+  // --- Detect-aimed per-gesture scores (5-fold CV over all samples).
   const auto data = synth::DatasetBuilder(bench::protocol(*args)).collect();
   const auto set = bench::featurize(data, core::LabelScheme::kAllEight);
   common::Rng rng(args->seed ^ 0x7AB2);
@@ -103,59 +108,74 @@ int main(int argc, char** argv) {
 
   // --- Assemble Table II.
   common::print_banner(std::cout, "Table II — performance summary");
-  common::Table table({"", "gesture", "paper", "measured"});
+  // Detect-aimed rows: "measured" is one-vs-rest accuracy, printed next to
+  // the paper's figure it is usually compared with; "recall" is the
+  // paper's per-class metric. Track-aimed rows have no recall column.
+  common::Table table({"", "gesture", "paper", "measured", "recall"});
   const double paper_acc[] = {0.9926, 0.9872, 0.9769, 0.9762,
                               0.9865, 0.9868};
   const auto names = core::class_names(core::LabelScheme::kAllEight);
   double detect_acc_sum = 0.0;
+  double detect_recall_sum = 0.0;
   for (int c = 0; c < 6; ++c) {
     table.add_row({c == 0 ? "Detect-aimed" : "",
-                   names[static_cast<std::size_t>(c)],
+                   names[static_cast<std::size_t>(c)] + " (one-vs-rest acc.)",
                    common::Table::pct(paper_acc[c]),
-                   common::Table::pct(cm.class_accuracy(c))});
+                   common::Table::pct(cm.class_accuracy(c)),
+                   common::Table::pct(cm.recall(c))});
     detect_acc_sum += cm.class_accuracy(c);
+    detect_recall_sum += cm.recall(c);
   }
   table.add_row({"", "average (detect)", "98.44%",
-                 common::Table::pct(detect_acc_sum / 6.0)});
+                 common::Table::pct(detect_acc_sum / 6.0),
+                 common::Table::pct(detect_recall_sum / 6.0)});
   const double up_acc =
       up_total ? static_cast<double>(up_correct) / up_total : 0.0;
   const double down_acc =
       down_total ? static_cast<double>(down_correct) / down_total : 0.0;
   table.add_row({"Track-aimed", "scroll up direction", "99.88%",
-                 common::Table::pct(up_acc)});
+                 common::Table::pct(up_acc), "-"});
   table.add_row({"", "scroll down direction", "99.26%",
-                 common::Table::pct(down_acc)});
+                 common::Table::pct(down_acc), "-"});
   table.add_row({"", "average (track)", "99.57%",
-                 common::Table::pct((up_acc + down_acc) / 2.0)});
+                 common::Table::pct((up_acc + down_acc) / 2.0), "-"});
   const double rating =
       rating_n ? rating_sum / static_cast<double>(rating_n) : 0.0;
   table.add_row({"Track-aimed", "routed to tracker", "-",
                  common::Table::pct(scrolls_seen
                                         ? static_cast<double>(scrolls_tracked) /
                                               scrolls_seen
-                                        : 0.0)});
+                                        : 0.0),
+                 "-"});
   table.add_row({"Tracking", "velocity & displacement rating", "2.6/3.0",
-                 common::Table::num(rating, 1) + "/3.0"});
+                 common::Table::num(rating, 1) + "/3.0", "-"});
   const double summary =
       (detect_acc_sum / 6.0) * 6.0 / 8.0 + (up_acc + down_acc) / 8.0;
-  table.add_row({"Summary", "average accuracy (8 gestures)", "98.72%",
-                 common::Table::pct(summary)});
+  table.add_row({"Summary", "average (8 gestures, acc. + direction)",
+                 "98.72%",
+                 common::Table::pct(summary), "-"});
   table.print(std::cout);
+  std::cout << "  measured: one-vs-rest accuracy (TP+TN)/N for detect-aimed "
+               "rows, direction accuracy for track-aimed rows;\n"
+               "  recall: TP/(TP+FN), the paper's per-class metric "
+               "(bench_fig10_overall)\n";
   std::cout << "  " << fluent << "/" << rating_n
             << " scrolls rated >= standard (paper: 90% felt no "
                "mismatch)\n  velocity calibration gain: "
             << common::Table::num(gain, 2) << "\n";
 
-  common::CsvWriter csv("table2_summary.csv", {"metric", "paper",
-                                               "measured"});
+  common::CsvWriter csv("table2_summary.csv",
+                        {"metric", "paper", "measured", "recall"});
   for (int c = 0; c < 6; ++c)
-    csv.write_row({names[static_cast<std::size_t>(c)],
+    csv.write_row({names[static_cast<std::size_t>(c)] + "_one_vs_rest_acc",
                    common::Table::num(paper_acc[c], 4),
-                   common::Table::num(cm.class_accuracy(c), 4)});
-  csv.write_row({"scroll_up_dir", "0.9988", common::Table::num(up_acc, 4)});
+                   common::Table::num(cm.class_accuracy(c), 4),
+                   common::Table::num(cm.recall(c), 4)});
   csv.write_row(
-      {"scroll_down_dir", "0.9926", common::Table::num(down_acc, 4)});
-  csv.write_row({"rating", "2.6", common::Table::num(rating, 2)});
+      {"scroll_up_dir", "0.9988", common::Table::num(up_acc, 4), ""});
+  csv.write_row(
+      {"scroll_down_dir", "0.9926", common::Table::num(down_acc, 4), ""});
+  csv.write_row({"rating", "2.6", common::Table::num(rating, 2), ""});
   std::cout << "Wrote table2_summary.csv.\n";
   return 0;
 }

@@ -27,7 +27,13 @@ std::vector<double> DetectRecognizer::extract(
 void DetectRecognizer::extract_into(
     std::span<const std::span<const double>> channels,
     features::Workspace& workspace, std::span<double> out) const {
-  bank_.extract_into(channels, workspace, out);
+  bank_.extract_into(channels, workspace, out, plan_);
+}
+
+void DetectRecognizer::set_feature_plan(std::vector<std::uint8_t> plan) {
+  AF_EXPECT(plan.empty() || plan.size() == bank_.feature_count(),
+            "feature plan must cover the full bank");
+  plan_ = std::move(plan);
 }
 
 void DetectRecognizer::fit(const ml::SampleSet& full_features) {
@@ -53,6 +59,7 @@ void DetectRecognizer::fit(const ml::SampleSet& full_features) {
   forest_ = ml::RandomForest(config_.forest);
   forest_.fit(full_features.project(selected_));
   compiled_ = ml::CompiledForest(forest_);
+  plan_.clear();
   fitted_ = true;
 }
 

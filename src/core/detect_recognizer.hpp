@@ -41,10 +41,19 @@ class DetectRecognizer {
 
   /// extract() into caller storage of size bank().feature_count(), drawing
   /// scratch from `workspace` (allocation-free at the arena's high-water
-  /// mark; bit-identical to extract()).
+  /// mark). Computes the columns of feature_plan(): those are bit-identical
+  /// to extract(), the skipped ones read 0.0.
   void extract_into(std::span<const std::span<const double>> channels,
                     features::Workspace& workspace,
                     std::span<double> out) const;
+
+  /// Demand mask over the bank (FeatureBank::demand_mask) that
+  /// extract_into() honours. Empty — every column — until a ModelBundle
+  /// narrows it to the columns its models read.
+  const std::vector<std::uint8_t>& feature_plan() const { return plan_; }
+
+  /// Restricts extract_into() to `plan` (empty restores the full bank).
+  void set_feature_plan(std::vector<std::uint8_t> plan);
 
   /// Trains on full-bank feature rows (as produced by extract()).
   void fit(const ml::SampleSet& full_features);
@@ -99,6 +108,7 @@ class DetectRecognizer {
   ml::RandomForest forest_;
   ml::CompiledForest compiled_;
   std::vector<std::size_t> selected_;
+  std::vector<std::uint8_t> plan_;
   bool fitted_ = false;
 };
 

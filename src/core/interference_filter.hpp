@@ -1,7 +1,9 @@
 // Interference removal (Sec. IV-F): a binary RF distinguishing designed
 // gestures from unintentional motions (scratching, extending, repositioning)
-// using the 9 Table I features already extracted for recognition — so the
-// filter adds no extra feature-extraction cost at runtime.
+// using 9 columns of the same feature row the recognizer reads. The filter
+// ranks its own columns by RF importance, so some of them are not among
+// the recognizer's: the bundle's feature plan extracts those too, at extra
+// cost (see `af_inspect --model` for a bundle's overlap).
 #pragma once
 
 #include <iosfwd>

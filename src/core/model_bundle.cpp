@@ -58,6 +58,13 @@ ModelBundle::ModelBundle(AirFingerConfig config, DetectRecognizer recognizer,
   AF_EXPECT(!config_.interference_filtering || (filter_ &&
                 filter_->is_fitted()),
             "interference filtering enabled but no fitted filter given");
+  // Feature plan: decide() reads the recognizer's columns and, when
+  // filtering, the filter's — extract only those (DESIGN.md §11).
+  std::vector<std::size_t> columns = recognizer_.selected_features();
+  if (config_.interference_filtering)
+    columns.insert(columns.end(), filter_->feature_indices().begin(),
+                   filter_->feature_indices().end());
+  recognizer_.set_feature_plan(recognizer_.bank().demand_mask(columns));
 }
 
 std::shared_ptr<const ModelBundle> ModelBundle::create(

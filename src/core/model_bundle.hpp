@@ -100,7 +100,9 @@ class ModelBundle {
   static constexpr int kFormatVersion = 1;
 
   /// Requires a fitted recognizer and (when filtering is enabled) a fitted
-  /// filter; validates the configuration.
+  /// filter; validates the configuration. Narrows the recognizer's feature
+  /// plan to the columns decide() reads: its selected features plus, when
+  /// interference filtering is on, the filter's.
   ModelBundle(AirFingerConfig config, DetectRecognizer recognizer,
               std::optional<InterferenceFilter> filter);
 

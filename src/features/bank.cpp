@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/reduce.hpp"
@@ -147,6 +148,60 @@ FeatureBank::FeatureBank(FeatureBankOptions options)
     if (is_interference_family(names_[i])) interference_indices_.push_back(i);
   AF_ASSERT(interference_indices_.size() == 9,
             "interference feature subset must have 9 entries");
+
+  // Cost families, in extract_into() order: the columns each shared
+  // computation fills, i.e. what a demand mask must leave out to skip it.
+  const auto columns_with =
+      [this](std::initializer_list<std::string_view> prefixes) {
+        std::vector<std::size_t> columns;
+        for (std::size_t i = 0; i < names_.size(); ++i)
+          for (const std::string_view prefix : prefixes)
+            if (std::string_view(names_[i]).starts_with(prefix)) {
+              columns.push_back(i);
+              break;
+            }
+        return columns;
+      };
+  const auto family = [&](std::string name,
+                          std::initializer_list<std::string_view> prefixes) {
+    std::vector<std::size_t> columns = columns_with(prefixes);
+    if (!columns.empty())
+      families_.push_back({std::move(name), std::move(columns)});
+  };
+  family("entropy_pair", {"sample_entropy", "approx_entropy"});
+  family("adf", {"adf_stat"});
+  family("acf", {"acf_l"});
+  family("acf_frac", {"acf_frac_"});
+  family("pacf", {"pacf_l"});
+  family("ar", {"ar_c"});
+  family("c3", {"c3_l"});
+  family("tra", {"tra_l"});
+  family("peaks", {"num_peaks_s"});
+  family("quantile_sort", {"quantile_"});
+  family("envelope", {"env_"});
+  family("envelope_period_acf", {"env_period_"});
+  family("fft", {"fft_mag_", "spectral_centroid", "low_band_ratio"});
+  // A CWT row feeds its own maximum and, through the shared total, every
+  // energy share.
+  for (std::size_t w = 0; w < options_.cwt_widths.size(); ++w) {
+    std::vector<std::size_t> columns = columns_with({"cwt_energy_w"});
+    const std::string max_name = "cwt_max_w" + std::to_string(w);
+    columns.push_back(static_cast<std::size_t>(
+        std::find(names_.begin(), names_.end(), max_name) - names_.begin()));
+    families_.push_back({"cwt_row_w" + std::to_string(w), std::move(columns)});
+  }
+  family("cross_channel", {"xc_"});
+  family("xc_smoothing", {"xc_corr_", "xc_asym_", "xc_tau_"});
+}
+
+std::vector<std::uint8_t> FeatureBank::demand_mask(
+    std::span<const std::size_t> columns) const {
+  std::vector<std::uint8_t> mask(names_.size(), 0);
+  for (const std::size_t c : columns) {
+    AF_EXPECT(c < mask.size(), "demanded feature column out of range");
+    mask[c] = 1;
+  }
+  return mask;
 }
 
 std::vector<double> FeatureBank::extract(
@@ -165,10 +220,12 @@ std::vector<double> FeatureBank::extract(
 
 void FeatureBank::extract_into(
     std::span<const std::span<const double>> channels, Workspace& workspace,
-    std::span<double> out) const {
+    std::span<double> out, std::span<const std::uint8_t> demand) const {
   AF_EXPECT(!channels.empty(), "extract requires at least one channel");
   AF_EXPECT(out.size() == names_.size(),
             "extract output size must match feature_count()");
+  AF_EXPECT(demand.empty() || demand.size() == names_.size(),
+            "demand mask size must match feature_count()");
   const std::size_t n = channels.front().size();
   AF_EXPECT(n >= 4, "segment too short for feature extraction");
   for (const auto& ch : channels)
@@ -215,67 +272,105 @@ void FeatureBank::extract_into(
   auto push = [&out, &filled](double v) {
     out[filled++] = std::isfinite(v) ? v : 0.0;
   };
+  // Demand-mask plumbing: block(count, fill) runs `fill` (which pushes
+  // exactly `count` values) when any of the next `count` columns is
+  // demanded, and otherwise writes `count` zeros without computing;
+  // put(value) is the one-column case.
+  const auto demanded = [&demand](std::size_t column) {
+    return demand.empty() || demand[column] != 0;
+  };
+  const auto block = [&](std::size_t count, auto&& fill) {
+    const std::size_t first = filled;
+    for (std::size_t i = first; i < first + count; ++i) {
+      if (demanded(i)) {
+        fill();
+        AF_ASSERT(filled == first + count,
+                  "feature block filled the wrong number of columns");
+        return;
+      }
+    }
+    for (std::size_t i = 0; i < count; ++i) out[filled++] = 0.0;
+  };
+  const auto put = [&](auto&& value) {
+    block(1, [&] { push(value()); });
+  };
 
   // Shape features. Note: std/variance of the canonical form are trivially
   // 1 unless the raw segment was constant (then 0) — they act as a
   // degeneracy flag; the interference filter's variance signal comes from
   // the scale block below combined with this flag.
-  push(common::stddev(canon));
-  push(common::variance(canon));
-  push(common::skewness(canon));
-  push(common::kurtosis(canon));
-  push(static_cast<double>(common::count_above_mean(canon)) / n_canon);
-  push(static_cast<double>(common::count_below_mean(canon)) / n_canon);
-  push(static_cast<double>(common::argmax(canon)) / n_canon);
-  push(static_cast<double>(common::argmin(canon)) / n_canon);
-  push(static_cast<double>(common::last_argmax(canon)) / n_canon);
-  push(static_cast<double>(common::last_argmin(canon)) / n_canon);
-  push(static_cast<double>(common::longest_strike_above_mean(canon)) /
-       n_canon);
-  push(static_cast<double>(common::longest_strike_below_mean(canon)) /
-       n_canon);
-  push(common::mean_abs_change(canon));
-  push(cid_ce(canon, /*normalize=*/false));  // canon is already normalized
-  {
+  put([&] { return common::stddev(canon); });
+  put([&] { return common::variance(canon); });
+  put([&] { return common::skewness(canon); });
+  put([&] { return common::kurtosis(canon); });
+  put([&] {
+    return static_cast<double>(common::count_above_mean(canon)) / n_canon;
+  });
+  put([&] {
+    return static_cast<double>(common::count_below_mean(canon)) / n_canon;
+  });
+  put([&] { return static_cast<double>(common::argmax(canon)) / n_canon; });
+  put([&] { return static_cast<double>(common::argmin(canon)) / n_canon; });
+  put([&] {
+    return static_cast<double>(common::last_argmax(canon)) / n_canon;
+  });
+  put([&] {
+    return static_cast<double>(common::last_argmin(canon)) / n_canon;
+  });
+  put([&] {
+    return static_cast<double>(common::longest_strike_above_mean(canon)) /
+           n_canon;
+  });
+  put([&] {
+    return static_cast<double>(common::longest_strike_below_mean(canon)) /
+           n_canon;
+  });
+  put([&] { return common::mean_abs_change(canon); });
+  // canon is already normalized.
+  put([&] { return cid_ce(canon, /*normalize=*/false); });
+  block(2, [&] {
     // SampEn and ApEn share every template comparison; the fused sweep
     // is bit-identical to the two separate calls.
     const auto [sampen, apen] = entropy_pair(canon, arena);
     push(sampen);
     push(apen);
-  }
-  push(adf_statistic(canon));
-  {
+  });
+  put([&] { return adf_statistic(canon); });
+  block(2, [&] {
     const auto [slope, intercept] = common::linear_trend(canon);
     push(slope * n_canon);  // slope per full segment, scale-free
     push(intercept);
-  }
-  {
+  });
+  block(options_.acf_lags, [&] {
     const auto frame = arena.frame();
     const std::span<double> a = arena.alloc<double>(options_.acf_lags + 1);
     dsp::acf_into(canon, arena, a);
     for (std::size_t k = 1; k <= options_.acf_lags; ++k) push(a[k]);
+  });
+  block(3, [&] {
     push(dsp::autocorrelation(canon, canon.size() / 4));
     push(dsp::autocorrelation(canon, canon.size() / 3));
     push(dsp::autocorrelation(canon, canon.size() / 2));
-  }
-  {
+  });
+  block(options_.pacf_lags, [&] {
     const auto frame = arena.frame();
     const std::span<double> p = arena.alloc<double>(options_.pacf_lags);
     dsp::pacf_into(canon, arena, p);
     for (double v : p) push(v);
-  }
-  {
+  });
+  block(options_.ar_order, [&] {
     const auto frame = arena.frame();
     const std::span<double> ar = arena.alloc<double>(options_.ar_order);
     dsp::ar_coefficients_into(canon, arena, ar);
     for (double v : ar) push(v);
-  }
-  for (std::size_t lag : options_.c3_lags) push(c3(canon, lag));
+  });
+  for (std::size_t lag : options_.c3_lags)
+    put([&] { return c3(canon, lag); });
   for (std::size_t lag : options_.tra_lags)
-    push(time_reversal_asymmetry(canon, lag));
+    put([&] { return time_reversal_asymmetry(canon, lag); });
   for (std::size_t s : options_.peak_supports)
-    push(static_cast<double>(dsp::count_peaks(canon, s)));
-  {
+    put([&] { return static_cast<double>(dsp::count_peaks(canon, s)); });
+  block(options_.quantiles.size(), [&] {
     // One sort serves every quantile: quantile_sorted over the sorted copy
     // is bit-identical to quantile_with's per-q copy+sort of the same
     // multiset.
@@ -285,13 +380,15 @@ void FeatureBank::extract_into(
     std::sort(sorted.begin(), sorted.end());
     for (double q : options_.quantiles)
       push(common::quantile_sorted(sorted, q));
-  }
+  });
   for (std::size_t c = 0; c < options_.energy_chunks; ++c)
-    push(energy_ratio_by_chunks(canon, options_.energy_chunks, c));
+    put([&] {
+      return energy_ratio_by_chunks(canon, options_.energy_chunks, c);
+    });
 
   // Envelope burst structure (on the smoothed canonical energy, linear
   // scale so nulls are real nulls).
-  {
+  block(9, [&] {
     const auto frame = arena.frame();
     const std::span<double> env_raw =
         arena.alloc<double>(options_.canonical_length);
@@ -354,32 +451,34 @@ void FeatureBank::extract_into(
     push(burst_count == 0
              ? 0.0
              : static_cast<double>(burst_end[burst_count - 1]) / n_canon);
-    push(static_cast<double>(dsp::count_peaks(env, 4)));
+    put([&] { return static_cast<double>(dsp::count_peaks(env, 4)); });
 
     // Dominant periodicity of the envelope: strongest ACF peak beyond a
     // short dead zone. Double gestures repeat; singles do not.
-    const std::size_t max_lag = env.size() / 2;
-    double best_acf = 0.0;
-    std::size_t best_lag = 0;
-    if (max_lag >= 6) {
-      const std::span<double> acf = arena.alloc<double>(max_lag + 1);
-      dsp::acf_into(env, arena, acf);
-      for (std::size_t lag = 5; lag <= max_lag; ++lag) {
-        if (acf[lag] > best_acf) {
-          best_acf = acf[lag];
-          best_lag = lag;
+    block(2, [&] {
+      const std::size_t max_lag = env.size() / 2;
+      double best_acf = 0.0;
+      std::size_t best_lag = 0;
+      if (max_lag >= 6) {
+        const std::span<double> acf = arena.alloc<double>(max_lag + 1);
+        dsp::acf_into(env, arena, acf);
+        for (std::size_t lag = 5; lag <= max_lag; ++lag) {
+          if (acf[lag] > best_acf) {
+            best_acf = acf[lag];
+            best_lag = lag;
+          }
         }
       }
-    }
-    push(static_cast<double>(best_lag) / n_canon);
-    push(best_acf);
-  }
+      push(static_cast<double>(best_lag) / n_canon);
+      push(best_acf);
+    });
+  });
 
   // Frequency domain: power-normalized magnitudes so amplitude cancels.
   // One spectrum of the canonical form feeds all three spectral features —
   // the FFT is deterministic, so the shared values match the reference
   // path's three independent transforms bit for bit.
-  {
+  block(options_.fft_coefficients + 2, [&] {
     const auto frame = arena.frame();
     const std::span<const std::complex<double>> spec =
         dsp::fft_real_scratch(canon, arena);
@@ -391,16 +490,22 @@ void FeatureBank::extract_into(
     push(canon.size() < 2 ? 0.0 : dsp::spectral_centroid_from(spec));
     push(canon.size() < 2 ? 0.0
                           : dsp::spectral_energy_ratio_from(spec, 0.2));
-  }
+  });
   {
+    // Energy shares need every row (their shared total); a maximum needs
+    // only its own row.
+    const std::size_t widths = options_.cwt_widths.size();
+    const std::size_t max_first = filled + widths;
+    bool want_energy = false;
+    for (std::size_t w = 0; w < widths; ++w)
+      want_energy = want_energy || demanded(filled + w);
     const auto frame = arena.frame();
-    const std::span<double> energies =
-        arena.alloc<double>(options_.cwt_widths.size());
-    const std::span<double> maxima =
-        arena.alloc<double>(options_.cwt_widths.size());
+    const std::span<double> energies = arena.alloc<double>(widths);
+    const std::span<double> maxima = arena.alloc<double>(widths);
     const std::span<double> row = arena.alloc<double>(canon.size());
     double total = 0.0;
-    for (std::size_t w = 0; w < options_.cwt_widths.size(); ++w) {
+    for (std::size_t w = 0; w < widths; ++w) {
+      if (!want_energy && !demanded(max_first + w)) continue;
       dsp::cwt_row_with_wavelet_into(canon, cwt_wavelets_[w], row);
       const double e = common::energy(row);
       energies[w] = e;
@@ -409,13 +514,19 @@ void FeatureBank::extract_into(
       for (double v : row) peak = std::max(peak, std::fabs(v));
       maxima[w] = peak;
     }
-    for (double e : energies) push(total > 0.0 ? e / total : 0.0);
-    for (double m : maxima) push(m);
+    block(widths, [&] {
+      for (double e : energies) push(total > 0.0 ? e / total : 0.0);
+    });
+    for (double m : maxima) put([&] { return m; });
   }
 
   // Cross-channel spatial features.
   if (options_.cross_channel) {
-    if (channels.size() >= 2) {
+    block(10, [&] {
+      if (channels.size() < 2) {
+        for (int i = 0; i < 10; ++i) push(0.0);
+        return;
+      }
       const auto frame = arena.frame();
       // Bounded cost: the smoothing window below grows with the segment
       // (nb/16), making this block O(n²/16) — fine for gestures, quadratic
@@ -458,93 +569,97 @@ void FeatureBank::extract_into(
       push(e_mid / e_total);
       push(e_last / e_total);
 
-      const std::size_t smooth = std::max<std::size_t>(3, nb / 16);
-      // One contiguous SoA block for the three smoothed channels, so the
-      // kernels below see adjacent spans.
-      const std::span<double> smoothed = arena.alloc<double>(3 * nb);
-      const std::span<double> s_first = smoothed.subspan(0, nb);
-      const std::span<double> s_mid = smoothed.subspan(nb, nb);
-      const std::span<double> s_last = smoothed.subspan(2 * nb, nb);
-      dsp::moving_average_into(first, smooth, s_first);
-      dsp::moving_average_into(mid, smooth, s_mid);
-      dsp::moving_average_into(last, smooth, s_last);
-      push(nb >= 2 ? common::pearson(s_first, s_last) : 0.0);
-      push(nb >= 2 ? common::pearson(s_first, s_mid) : 0.0);
-      push(nb >= 2 ? common::pearson(s_mid, s_last) : 0.0);
+      block(7, [&] {
+        const std::size_t smooth = std::max<std::size_t>(3, nb / 16);
+        // One contiguous SoA block for the three smoothed channels, so the
+        // kernels below see adjacent spans.
+        const std::span<double> smoothed = arena.alloc<double>(3 * nb);
+        const std::span<double> s_first = smoothed.subspan(0, nb);
+        const std::span<double> s_mid = smoothed.subspan(nb, nb);
+        const std::span<double> s_last = smoothed.subspan(2 * nb, nb);
+        dsp::moving_average_into(first, smooth, s_first);
+        dsp::moving_average_into(mid, smooth, s_mid);
+        dsp::moving_average_into(last, smooth, s_last);
+        put([&] { return nb >= 2 ? common::pearson(s_first, s_last) : 0.0; });
+        put([&] { return nb >= 2 ? common::pearson(s_first, s_mid) : 0.0; });
+        put([&] { return nb >= 2 ? common::pearson(s_mid, s_last) : 0.0; });
 
-      // Asymmetry sweep statistics (same construction as the router's).
-      const std::span<double> esum = arena.alloc<double>(nb);
-      for (std::size_t i = 0; i < nb; ++i)
-        esum[i] = s_first[i] + s_mid[i] + s_last[i];
-      const double esum_peak = common::reduce::max_with(esum, 0.0);
-      const double eps = std::max(esum_peak * 0.05, 1e-12);
-      double w_total = 0.0, a_mean = 0.0;
-      double a_min = 0.0, a_max = 0.0, a_w_early = 0.0, a_w_late = 0.0;
-      double w_early = 0.0, w_late = 0.0, t_centroid_num = 0.0;
-      bool have = false;
-      const double energy_gate = esum_peak * 0.08;
-      for (std::size_t i = 0; i < nb; ++i) {
-        const double a = (s_last[i] - s_first[i]) / (esum[i] + eps);
-        const double w =
-            esum[i] > energy_gate ? std::fabs(s_last[i] - s_first[i]) : 0.0;
-        if (w <= 0.0) continue;
-        if (!have) {
-          a_min = a_max = a;
-          have = true;
-        }
-        a_min = std::min(a_min, a);
-        a_max = std::max(a_max, a);
-        a_mean += a * w;
-        w_total += w;
-        t_centroid_num += static_cast<double>(i) * w;
-        if (i < nb / 2) {
-          a_w_early += a * w;
-          w_early += w;
-        } else {
-          a_w_late += a * w;
-          w_late += w;
-        }
-      }
-      const double delta =
-          (w_early > 0.0 && w_late > 0.0)
-              ? a_w_late / w_late - a_w_early / w_early
-              : 0.0;
-      push(delta);
-      push(have ? a_max - a_min : 0.0);
-      push(w_total > 0.0 ? a_mean / w_total : 0.0);
+        // Asymmetry sweep statistics (same construction as the router's).
+        block(3, [&] {
+          const std::span<double> esum = arena.alloc<double>(nb);
+          for (std::size_t i = 0; i < nb; ++i)
+            esum[i] = s_first[i] + s_mid[i] + s_last[i];
+          const double esum_peak = common::reduce::max_with(esum, 0.0);
+          const double eps = std::max(esum_peak * 0.05, 1e-12);
+          double w_total = 0.0, a_mean = 0.0;
+          double a_min = 0.0, a_max = 0.0, a_w_early = 0.0, a_w_late = 0.0;
+          double w_early = 0.0, w_late = 0.0;
+          bool have = false;
+          const double energy_gate = esum_peak * 0.08;
+          for (std::size_t i = 0; i < nb; ++i) {
+            const double a = (s_last[i] - s_first[i]) / (esum[i] + eps);
+            const double w = esum[i] > energy_gate
+                                 ? std::fabs(s_last[i] - s_first[i])
+                                 : 0.0;
+            if (w <= 0.0) continue;
+            if (!have) {
+              a_min = a_max = a;
+              have = true;
+            }
+            a_min = std::min(a_min, a);
+            a_max = std::max(a_max, a);
+            a_mean += a * w;
+            w_total += w;
+            if (i < nb / 2) {
+              a_w_early += a * w;
+              w_early += w;
+            } else {
+              a_w_late += a * w;
+              w_late += w;
+            }
+          }
+          const double delta =
+              (w_early > 0.0 && w_late > 0.0)
+                  ? a_w_late / w_late - a_w_early / w_early
+                  : 0.0;
+          push(delta);
+          push(have ? a_max - a_min : 0.0);
+          push(w_total > 0.0 ? a_mean / w_total : 0.0);
+        });
 
-      // τ spread: energy-centroid time difference of the outer channels,
-      // normalized by the window length. Four independent accumulators,
-      // each still in ascending-i order.
-      const double tau_first = common::reduce::weighted_index_sum(s_first);
-      const double ef = common::reduce::sum(s_first);
-      const double tau_last = common::reduce::weighted_index_sum(s_last);
-      const double el = common::reduce::sum(s_last);
-      const double spread =
-          (ef > 0.0 && el > 0.0)
-              ? (tau_last / el - tau_first / ef) / static_cast<double>(nb)
-              : 0.0;
-      push(spread);
-    } else {
-      for (int i = 0; i < 10; ++i) push(0.0);
-    }
+        // τ spread: energy-centroid time difference of the outer channels,
+        // normalized by the window length. Four independent accumulators,
+        // each still in ascending-i order.
+        put([&] {
+          const double tau_first =
+              common::reduce::weighted_index_sum(s_first);
+          const double ef = common::reduce::sum(s_first);
+          const double tau_last = common::reduce::weighted_index_sum(s_last);
+          const double el = common::reduce::sum(s_last);
+          return (ef > 0.0 && el > 0.0)
+                     ? (tau_last / el - tau_first / ef) /
+                           static_cast<double>(nb)
+                     : 0.0;
+        });
+      });
+    });
   }
 
   // Scale features on the raw summed segment. The mean used to be
   // recomputed three times (mean, then twice inside stddev); one mean +
   // one centred pass runs the identical arithmetic in the identical
   // order, so the bits are unchanged.
-  push(std::log(static_cast<double>(n)));
-  push(std::log1p(common::energy(energy)));
-  push(std::log1p(common::max(energy)));
-  {
+  put([&] { return std::log(static_cast<double>(n)); });
+  put([&] { return std::log1p(common::energy(energy)); });
+  put([&] { return std::log1p(common::max(energy)); });
+  block(2, [&] {
     const double m = common::mean(energy);
     push(std::log1p(std::fabs(m)));
     double s = 0.0;
     for (double v : energy) s += (v - m) * (v - m);
     const double sd = std::sqrt(s / static_cast<double>(n));
     push(m != 0.0 ? sd / std::fabs(m) : 0.0);
-  }
+  });
 
   AF_ASSERT(filled == names_.size(),
             "feature vector arity diverged from the name list");

@@ -18,12 +18,21 @@
 //     which is genuinely discriminative, while log compression bounds the
 //     influence of between-user amplitude differences.
 //
-// The 9 bold Table I features (reused by the interference filter of
-// Sec. IV-F) are exposed through interference_indices(). The paper's PDF
-// bolding did not survive text extraction, so the subset is chosen from the
-// named families; the substitution is documented in DESIGN.md.
+// The 9 bold Table I features are exposed through interference_indices().
+// The interference filter (Sec. IV-F) reads that fixed subset only when
+// trained with importance_selection=false; by default it ranks the bank by
+// RF importance and keeps its own 9 columns (InterferenceFilter::
+// feature_indices()). The paper's PDF bolding did not survive text
+// extraction, so the subset is chosen from the named families; the
+// substitution is documented in DESIGN.md.
+//
+// Feature plans (DESIGN.md §11): a deployed model reads a few dozen of the
+// bank's columns. extract_into() takes an optional demand mask and skips
+// every computation none of whose columns is demanded; families() names
+// those shared computations so a plan can be explained.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,6 +71,15 @@ struct FeatureBankOptions {
   std::size_t cross_channel_cap = 384;
 };
 
+/// One shared computation of the bank and the columns it fills (e.g. the
+/// FFT block feeds every fft_mag_* column plus the spectral centroid and
+/// low-band ratio). A masked extract_into() skips a family's work when
+/// none of its columns is demanded.
+struct FeatureFamily {
+  std::string name;
+  std::vector<std::size_t> columns;
+};
+
 /// Stateless (after construction) feature evaluator.
 class FeatureBank {
  public:
@@ -71,10 +89,18 @@ class FeatureBank {
   const std::vector<std::string>& names() const { return names_; }
   const FeatureBankOptions& options() const { return options_; }
 
-  /// Indices of the 9 interference-filter features (Table I bold subset).
+  /// Indices of the Table I bold subset: the interference filter's
+  /// columns when it is trained without importance selection.
   const std::vector<std::size_t>& interference_indices() const {
     return interference_indices_;
   }
+
+  /// The costly shared computations extract_into() can skip as units.
+  const std::vector<FeatureFamily>& families() const { return families_; }
+
+  /// Demand mask (one entry per column, 1 = compute) for `columns`.
+  std::vector<std::uint8_t> demand_mask(
+      std::span<const std::size_t> columns) const;
 
   /// Evaluates all features on a multi-channel ΔRSS² window (channels must
   /// be equal length >= 4; typically the segment slice of each photodiode).
@@ -86,15 +112,20 @@ class FeatureBank {
 
   /// extract() writing into caller storage of size feature_count(), with
   /// all working arrays drawn from `workspace`. Once the workspace arena
-  /// reaches its high-water mark no heap allocation happens; outputs are
-  /// bit-identical to extract().
+  /// reaches its high-water mark no heap allocation happens.
+  ///
+  /// `demand` is empty (every column) or a demand_mask(): a computation
+  /// none of whose columns is demanded is skipped and its columns read
+  /// 0.0. Every demanded column is bit-identical to extract().
   void extract_into(std::span<const std::span<const double>> channels,
-                    Workspace& workspace, std::span<double> out) const;
+                    Workspace& workspace, std::span<double> out,
+                    std::span<const std::uint8_t> demand = {}) const;
 
  private:
   FeatureBankOptions options_;
   std::vector<std::string> names_;
   std::vector<std::size_t> interference_indices_;
+  std::vector<FeatureFamily> families_;
   /// Ricker wavelets sampled once per configured CWT width at
   /// construction — extract_into() convolves with these instead of
   /// re-evaluating the transcendental-heavy wavelet every frame.

@@ -1,9 +1,11 @@
 // Tests for the ModelBundle / Session split: single-file artifact
 // round-trips (bit-identical predictions), legacy two-file loading,
-// malformed-input rejection, zero-copy shared ownership of the models,
-// and MultiSessionHost event equivalence with standalone sessions.
+// malformed-input rejection, the feature plan decide() extracts with,
+// zero-copy shared ownership of the models, and MultiSessionHost event
+// equivalence with standalone sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -217,6 +219,171 @@ TEST(Bundle, SniffDistinguishesFormatsAndRestoresStream) {
   trained_bundle()->recognizer().save(legacy);
   EXPECT_FALSE(core::ModelBundle::sniff_bundle(legacy));
   EXPECT_NO_THROW(core::DetectRecognizer::load(legacy));
+}
+
+// ----------------------------------------------------------- feature plan
+
+/// The plan a bundle should derive: its recognizer's columns, plus its
+/// filter's when interference filtering is on.
+std::vector<std::uint8_t> expected_plan(const core::ModelBundle& bundle) {
+  std::vector<std::uint8_t> plan(
+      bundle.recognizer().bank().feature_count(), 0);
+  for (const std::size_t c : bundle.recognizer().selected_features())
+    plan[c] = 1;
+  if (bundle.config().interference_filtering)
+    for (const std::size_t c : bundle.filter()->feature_indices())
+      plan[c] = 1;
+  return plan;
+}
+
+TEST(BundlePlan, IsRecognizerPlusFilterColumns) {
+  const auto& bundle = trained_bundle();
+  ASSERT_TRUE(bundle->config().interference_filtering);
+  const auto& plan = bundle->recognizer().feature_plan();
+  EXPECT_EQ(plan, expected_plan(*bundle));
+  // The filter reads at least one column the recognizer does not, and the
+  // plan is a strict subset of the bank.
+  const auto& selected = bundle->recognizer().selected_features();
+  EXPECT_GT(std::count(plan.begin(), plan.end(), 1),
+            static_cast<std::ptrdiff_t>(selected.size()));
+  EXPECT_LT(std::count(plan.begin(), plan.end(), 1),
+            static_cast<std::ptrdiff_t>(plan.size()));
+}
+
+TEST(BundlePlan, DropsFilterColumnsWhenFilteringIsOff) {
+  const auto& bundle = trained_bundle();
+  core::AirFingerConfig config = bundle->config();
+  config.interference_filtering = false;
+  const auto unfiltered =
+      core::ModelBundle::create(config, bundle->recognizer(),
+                                bundle->filter());
+  const auto& plan = unfiltered->recognizer().feature_plan();
+  EXPECT_EQ(plan, expected_plan(*unfiltered));
+  EXPECT_EQ(static_cast<std::size_t>(std::count(plan.begin(), plan.end(), 1)),
+            bundle->recognizer().selected_features().size());
+}
+
+TEST(BundlePlan, SurvivesSaveLoadRoundTrip) {
+  const auto& bundle = trained_bundle();
+  std::stringstream artifact;
+  bundle->save(artifact);
+  const auto loaded = core::ModelBundle::load(artifact);
+  EXPECT_EQ(loaded->recognizer().feature_plan(),
+            bundle->recognizer().feature_plan());
+}
+
+/// Which decide() branches the reference took over a corpus.
+struct BranchCounts {
+  int detect = 0;
+  int track = 0;
+  int rejected = 0;
+  int hybrid_override = 0;
+};
+
+/// decide() rebuilt from the full feature row: full-bank extract() →
+/// predict_proba_into → filter, with the router and ZEBRA called directly.
+core::GestureEvent reference_decide(const core::ModelBundle& bundle,
+                                    const core::ProcessedTrace& view,
+                                    const dsp::Segment& local,
+                                    BranchCounts& seen) {
+  const core::AirFingerConfig& config = bundle.config();
+  common::ScratchArena arena;
+  core::GestureEvent event;
+  core::GestureCategory category = bundle.router().route(view, local);
+
+  const dsp::Segment padded =
+      core::pad_segment(local, view.energy.size(),
+                        config.processing.feature_pad_s, view.sample_rate_hz);
+  std::vector<std::span<const double>> windows;
+  for (const auto& ch : view.delta_rss2)
+    windows.emplace_back(ch.data() + padded.begin, padded.length());
+  const std::vector<double> row = bundle.recognizer().extract(windows);
+  std::vector<double> proba(bundle.recognizer().num_classes());
+  bundle.recognizer().predict_proba_into(row, arena, proba);
+  const auto argmax = [&] {
+    return static_cast<int>(std::max_element(proba.begin(), proba.end()) -
+                            proba.begin());
+  };
+
+  if (config.hybrid_routing &&
+      proba[static_cast<std::size_t>(argmax())] >=
+          config.hybrid_override_margin) {
+    const core::GestureCategory classified =
+        synth::is_track_aimed(static_cast<synth::MotionKind>(argmax()))
+            ? core::GestureCategory::kTrackAimed
+            : core::GestureCategory::kDetectAimed;
+    if (classified != category) ++seen.hybrid_override;
+    category = classified;
+  }
+  if (category == core::GestureCategory::kTrackAimed) {
+    if (const auto estimate = bundle.zebra().track(view, local)) {
+      ++seen.track;
+      event.type = core::GestureEvent::Type::kScrollDetected;
+      event.scroll = *estimate;
+      return event;
+    }
+  }
+  if (config.interference_filtering &&
+      bundle.filter()->gesture_probability_with(row, arena) <
+          config.rejection_threshold) {
+    ++seen.rejected;
+    event.type = core::GestureEvent::Type::kNonGesture;
+    return event;
+  }
+  int label = argmax();
+  if (synth::is_track_aimed(static_cast<synth::MotionKind>(label))) {
+    double best_p = -1.0;
+    for (std::size_t c = 0; c < proba.size(); ++c) {
+      if (synth::is_track_aimed(static_cast<synth::MotionKind>(c))) continue;
+      if (proba[c] > best_p) {
+        best_p = proba[c];
+        label = static_cast<int>(c);
+      }
+    }
+  }
+  ++seen.detect;
+  event.type = core::GestureEvent::Type::kDetectGesture;
+  event.gesture = static_cast<synth::MotionKind>(label);
+  return event;
+}
+
+TEST(BundlePlan, DecideMatchesFullRowReference) {
+  const auto& bundle = trained_bundle();
+  // Every motion kind, interference included, from users the bundle was
+  // not trained on.
+  synth::CollectionConfig corpus;
+  corpus.users = 6;
+  corpus.sessions = 1;
+  corpus.repetitions = 2;
+  corpus.kinds.assign(synth::all_gestures().begin(),
+                      synth::all_gestures().end());
+  corpus.kinds.insert(corpus.kinds.end(), synth::non_gestures().begin(),
+                      synth::non_gestures().end());
+  corpus.seed = 505;
+  const synth::Dataset data = synth::DatasetBuilder(corpus).collect();
+
+  BranchCounts seen;
+  std::size_t segments = 0;
+  features::Workspace workspace;  // reused, as a Session reuses it
+  for (const auto& sample : data.samples) {
+    core::DataProcessorConfig processing = bundle->config().processing;
+    processing.segmenter.sample_rate_hz = sample.trace.sample_rate_hz();
+    const core::ProcessedTrace view =
+        core::DataProcessor(processing).process(sample.trace);
+    for (const dsp::Segment& segment : view.segments) {
+      SCOPED_TRACE("segment " + std::to_string(segments));
+      ++segments;
+      const core::GestureEvent got = bundle->decide(view, segment, workspace);
+      const core::GestureEvent want =
+          reference_decide(*bundle, view, segment, seen);
+      expect_events_identical({got}, {want});
+    }
+  }
+  EXPECT_GT(segments, 0u);
+  EXPECT_GT(seen.detect, 0);
+  EXPECT_GT(seen.track, 0);
+  EXPECT_GT(seen.rejected, 0);
+  EXPECT_GT(seen.hybrid_override, 0);
 }
 
 TEST(Session, ConstructionSharesModelsWithoutCopying) {

@@ -7,9 +7,11 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/trainer.hpp"
 #include "dsp/filters.hpp"
 #include "features/bank.hpp"
 #include "features/measures.hpp"
+#include "simd_tiers.hpp"
 
 namespace airfinger::features {
 namespace {
@@ -313,6 +315,149 @@ TEST(Bank, CustomOptionsChangeArity) {
   const FeatureBank small(opt);
   const FeatureBank standard;
   EXPECT_LT(small.feature_count(), standard.feature_count());
+}
+
+// ---------------------------------------------------------- feature plans
+
+/// Multi-channel ΔRSS²-like windows: positive noise plus a burst that
+/// sweeps across the channels, so every feature family sees structure.
+std::vector<std::vector<double>> plan_channels(std::size_t channels,
+                                               std::size_t n,
+                                               std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<std::vector<double>> ch(channels, std::vector<double>(n));
+  for (std::size_t c = 0; c < channels; ++c)
+    for (std::size_t i = 0; i < n; ++i) {
+      const double centre = static_cast<double>(n) *
+                            (0.3 + 0.4 * static_cast<double>(c) /
+                                       static_cast<double>(channels));
+      const double d = (static_cast<double>(i) - centre) /
+                       (0.1 * static_cast<double>(n) + 1.0);
+      ch[c][i] = std::fabs(rng.normal()) + 40.0 * std::exp(-d * d);
+    }
+  return ch;
+}
+
+/// The masks the oracle runs: every single column, random subsets at
+/// three densities, every family left out alone, and `extra`.
+std::vector<std::vector<std::uint8_t>> oracle_masks(
+    const FeatureBank& bank, const std::vector<std::uint8_t>& extra) {
+  const std::size_t width = bank.feature_count();
+  std::vector<std::vector<std::uint8_t>> masks;
+  for (std::size_t c = 0; c < width; ++c) {
+    const std::size_t one[] = {c};
+    masks.push_back(bank.demand_mask(one));
+  }
+  common::Rng rng(0x91A7);
+  for (const double density : {0.05, 0.3, 0.7})
+    for (int r = 0; r < 8; ++r) {
+      std::vector<std::uint8_t> mask(width);
+      for (auto& m : mask) m = rng.uniform() < density ? 1 : 0;
+      masks.push_back(mask);
+    }
+  for (const FeatureFamily& family : bank.families()) {
+    std::vector<std::uint8_t> mask(width, 1);
+    for (const std::size_t c : family.columns) mask[c] = 0;
+    masks.push_back(mask);
+  }
+  if (!extra.empty()) masks.push_back(extra);
+  return masks;
+}
+
+/// The masked extract_into() against full extract(): every demanded
+/// column bit for bit; an undemanded one is either its full value
+/// (computed by a demanded family) or the 0.0 placeholder.
+void expect_masked_matches_full(const FeatureBank& bank,
+                                const std::vector<std::uint8_t>& extra) {
+  const auto masks = oracle_masks(bank, extra);
+  const auto bits_equal = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(a)) == 0;
+  };
+  const std::size_t cap = bank.options().cross_channel_cap;
+  Workspace workspace;  // reused across masks, as a Session reuses it
+  std::vector<double> got(bank.feature_count());
+  for (const std::size_t channels : {std::size_t{1}, std::size_t{3}})
+    for (const std::size_t n : {std::size_t{4}, std::size_t{5},
+                                std::size_t{17}, std::size_t{96},
+                                std::size_t{150}, cap, cap + 1,
+                                2 * cap + 37}) {
+      const auto ch = plan_channels(channels, n, 31 * n + channels);
+      const std::vector<std::span<const double>> spans(ch.begin(),
+                                                       ch.end());
+      const std::vector<double> full = bank.extract(spans);
+      for (std::size_t m = 0; m < masks.size(); ++m) {
+        std::fill(got.begin(), got.end(), -1.0);
+        bank.extract_into(spans, workspace, got, masks[m]);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          if (masks[m][i]) {
+            ASSERT_TRUE(bits_equal(got[i], full[i]))
+                << bank.names()[i] << " mask " << m << " n=" << n
+                << " channels=" << channels;
+          } else {
+            ASSERT_TRUE(got[i] == 0.0 || bits_equal(got[i], full[i]))
+                << bank.names()[i] << " mask " << m << " n=" << n;
+          }
+        }
+      }
+    }
+}
+
+/// The feature plan of the bundle the core tests train.
+const std::vector<std::uint8_t>& trained_plan() {
+  static const std::vector<std::uint8_t> plan = [] {
+    core::TrainerConfig config;
+    config.users = 2;
+    config.sessions = 1;
+    config.repetitions = 3;
+    config.non_gesture_repetitions = 3;
+    config.seed = 11;
+    return core::build_bundle(config)->recognizer().feature_plan();
+  }();
+  return plan;
+}
+
+TEST(BankPlan, MaskedExtractMatchesFullUnderEveryTier) {
+  const std::vector<std::uint8_t>& plan = trained_plan();
+  const FeatureBank bank;
+  ASSERT_EQ(plan.size(), bank.feature_count());
+  ASSERT_LT(std::count(plan.begin(), plan.end(), 1),
+            static_cast<std::ptrdiff_t>(bank.feature_count()));
+  const test::TierGuard guard;
+  for (const simd::Tier tier : test::available_tiers()) {
+    SCOPED_TRACE(simd::tier_name(tier));
+    ASSERT_TRUE(simd::set_tier(tier));
+    expect_masked_matches_full(bank, plan);
+  }
+}
+
+TEST(BankPlan, MaskedExtractMatchesFullWithoutCrossChannel) {
+  FeatureBankOptions options;
+  options.cross_channel = false;
+  const FeatureBank bank(options);
+  const test::TierGuard guard;
+  for (const simd::Tier tier : test::available_tiers()) {
+    SCOPED_TRACE(simd::tier_name(tier));
+    ASSERT_TRUE(simd::set_tier(tier));
+    expect_masked_matches_full(bank, {});
+  }
+}
+
+TEST(BankPlan, FamiliesAndMasksAreValidated) {
+  const FeatureBank bank;
+  for (const FeatureFamily& family : bank.families()) {
+    EXPECT_FALSE(family.columns.empty()) << family.name;
+    for (const std::size_t c : family.columns)
+      EXPECT_LT(c, bank.feature_count()) << family.name;
+  }
+  const std::size_t bad[] = {bank.feature_count()};
+  EXPECT_THROW(bank.demand_mask(bad), PreconditionError);
+  const auto ch = plan_channels(3, 40, 9);
+  const std::vector<std::span<const double>> spans(ch.begin(), ch.end());
+  Workspace workspace;
+  std::vector<double> out(bank.feature_count());
+  const std::vector<std::uint8_t> short_mask(bank.feature_count() - 1, 1);
+  EXPECT_THROW(bank.extract_into(spans, workspace, out, short_mask),
+               PreconditionError);
 }
 
 }  // namespace

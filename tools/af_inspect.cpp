@@ -4,9 +4,10 @@
 //   af_inspect --model models.af --stats --trace rec.aftrace
 //
 // The format is sniffed from the header: an `afbundle` artifact prints its
-// version, configuration summary, and filter block in addition to the
-// recognizer's selected features; a legacy `af_recognizer` file prints the
-// feature table only. Exits non-zero on any parse failure.
+// version, configuration summary, filter block and feature plan (how many
+// bank columns serving extracts, and the feature families it skips) in
+// addition to the recognizer's selected features; a legacy `af_recognizer`
+// file prints the feature table only. Exits non-zero on any parse failure.
 //
 // With --stats, an `.aftrace` recording (sensor/trace_io.hpp) is replayed
 // through one Session over the bundle under a deterministic TickClock
@@ -51,6 +52,42 @@ void print_feature_table(const core::DetectRecognizer& rec) {
   table.print(std::cout);
 }
 
+/// The columns decide() extracts (the bundle's feature plan) and the bank
+/// families it never computes.
+void print_feature_plan(const core::ModelBundle& bundle) {
+  const core::DetectRecognizer& rec = bundle.recognizer();
+  const auto& plan = rec.feature_plan();
+  const auto& selected = rec.selected_features();
+  const std::size_t planned =
+      static_cast<std::size_t>(std::count(plan.begin(), plan.end(), 1));
+  std::cout << "feature plan: computes " << planned << " of "
+            << rec.bank().feature_count() << " features (recognizer "
+            << selected.size();
+  if (bundle.config().interference_filtering) {
+    const auto& filter = bundle.filter()->feature_indices();
+    const auto shared = std::count_if(
+        filter.begin(), filter.end(), [&](std::size_t c) {
+          return std::find(selected.begin(), selected.end(), c) !=
+                 selected.end();
+        });
+    std::cout << ", filter " << filter.size() << ", shared " << shared;
+  } else {
+    std::cout << ", filter off";
+  }
+  std::cout << ")\n";
+
+  std::vector<std::string> skipped;
+  for (const features::FeatureFamily& family : rec.bank().families())
+    if (std::none_of(family.columns.begin(), family.columns.end(),
+                     [&](std::size_t c) { return plan[c] != 0; }))
+      skipped.push_back(family.name);
+  std::cout << "skips " << skipped.size() << " of "
+            << rec.bank().families().size() << " families";
+  for (std::size_t i = 0; i < skipped.size(); ++i)
+    std::cout << (i == 0 ? ": " : ", ") << skipped[i];
+  std::cout << "\n";
+}
+
 void print_bundle(const std::string& path,
                   const core::ModelBundle& bundle) {
   const auto& config = bundle.config();
@@ -71,6 +108,8 @@ void print_bundle(const std::string& path,
   meta.add_row({"history limit",
                 std::to_string(config.history_limit) + " samples"});
   meta.print(std::cout);
+  std::cout << "\n";
+  print_feature_plan(bundle);
   std::cout << "\nrecognizer: ";
   print_feature_table(bundle.recognizer());
 }

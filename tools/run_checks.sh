@@ -3,7 +3,8 @@
 #
 #   1. tier-1: standard build + full ctest suite
 #   2. observability: the instrumentation determinism/aggregation suites
-#   3. asan:   ASan/UBSan build of the model/session/concurrency suites
+#   3. asan:   ASan/UBSan build of the model/features/session/concurrency
+#              suites
 #   4. bench:  hot-path microbenchmark smoke (incl. 0-allocs/frame check)
 #   5. perfbench: `perfbench/run.py --selftest` (harness unit tests plus a
 #              tiny smoke run of every benchmark workload)
@@ -55,14 +56,15 @@ ctest --test-dir "${BUILD}" --output-on-failure -L robustness -j "$(nproc)"
 echo "== observability: metrics/tracing determinism suites =="
 ctest --test-dir "${BUILD}" --output-on-failure -L observability -j "$(nproc)"
 
-echo "== asan/ubsan: model + session + concurrency + robustness suites =="
+echo "== asan/ubsan: model + features + session + concurrency + robustness suites =="
 ASAN_BUILD="${BUILD}/aux/asan"
 cmake -B "${ASAN_BUILD}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAF_SANITIZE=address,undefined
 cmake --build "${ASAN_BUILD}" -j \
-  --target bundle_test serialize_test core_test parallel_test spsc_ring_test host_shard_test probe_test compiled_forest_test simd_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
+  --target bundle_test features_test serialize_test core_test parallel_test spsc_ring_test host_shard_test probe_test compiled_forest_test simd_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
 "${ASAN_BUILD}/tests/bundle_test"
+"${ASAN_BUILD}/tests/features_test"
 "${ASAN_BUILD}/tests/serialize_test"
 "${ASAN_BUILD}/tests/core_test"
 "${ASAN_BUILD}/tests/parallel_test"
