@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "common/csv.hpp"
+#include "common/reduce.hpp"
 #include "core/ascending.hpp"
 #include "support.hpp"
 
@@ -33,8 +34,17 @@ void report(const synth::GestureSample& s) {
   for (std::size_t c = 0; c < windows.size(); ++c) {
     double peak = 0.0;
     for (double v : windows[c]) peak = std::max(peak, v);
+    // Energy-centroid time τ_c = Σ t·E_c(t) / Σ E_c(t) of each channel
+    // that rose (0 for a silent one): a scroll's channel energies arrive
+    // in spatial order, so τ_P1 < τ_P2 < τ_P3 for an upward scroll.
+    double tau = 0.0;
+    if (timing.active[c]) {
+      const double energy = common::reduce::sum(windows[c]);
+      const double weighted = common::reduce::weighted_index_sum(windows[c]);
+      tau = energy > 0.0 ? (weighted / energy) / rate : 0.0;
+    }
     table.add_row({names[c], common::Table::num(peak, 0),
-                   common::Table::num(timing.tau_s[c], 3)});
+                   common::Table::num(tau, 3)});
   }
   table.print(std::cout);
   std::cout << "  asymmetry sweep ΔA = "

@@ -8,7 +8,6 @@
 #include "common/simd.hpp"
 #include "common/stats.hpp"
 #include "dsp/filters.hpp"
-#include "dsp/xcorr.hpp"
 
 namespace airfinger::core {
 
@@ -98,41 +97,14 @@ SegmentTiming segment_timing(std::span<const std::span<const double>> windows,
       find_ascending_points(windows, config.ascending, arena);
   SegmentTiming out;
   out.active.resize(windows.size(), false);
-  out.tau_s.resize(windows.size(), 0.0);
-
   for (std::size_t c = 0; c < windows.size(); ++c) {
     out.active[c] = pts.ascending[c].has_value();
-    if (!out.active[c]) continue;
-    if (out.first_active < 0) out.first_active = static_cast<int>(c);
-    out.last_active = static_cast<int>(c);
-    const double energy = common::reduce::sum(windows[c]);
-    const double weighted = common::reduce::weighted_index_sum(windows[c]);
-    out.tau_s[c] =
-        energy > 0.0 ? (weighted / energy) / sample_rate_hz : 0.0;
-  }
-
-  if (out.first_active >= 0 && out.last_active > out.first_active) {
-    out.dt_outer_s =
-        out.tau_s[static_cast<std::size_t>(out.last_active)] -
-        out.tau_s[static_cast<std::size_t>(out.first_active)];
-  }
-
-  // Envelope hump count on the smoothed summed energy.
-  const std::size_t n = windows.front().size();
-  if (n > 0) {
-    const std::span<double> envelope_raw = arena.alloc<double>(n);
-    for (const auto& w : windows)
-      simd::kernels().accumulate(envelope_raw.data(), w.data(),
-                                 std::min(n, w.size()));
-    const auto smooth = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::lround(config.envelope_smooth_s * sample_rate_hz)));
-    const std::span<double> envelope = arena.alloc<double>(n);
-    dsp::moving_average_into(envelope_raw, smooth, envelope);
-    detail::envelope_stats(envelope, sample_rate_hz, config, out);
+    if (out.active[c] && out.first_active < 0)
+      out.first_active = static_cast<int>(c);
   }
 
   // Spatial asymmetry A(t) between the outer channels.
+  const std::size_t n = windows.front().size();
   if (n >= 8) {
     const auto a_smooth = std::max<std::size_t>(
         1, static_cast<std::size_t>(
@@ -160,22 +132,6 @@ SegmentTiming segment_timing(std::span<const std::span<const double>> windows,
     detail::asymmetry_stats(e1, e3, esum, sample_rate_hz, config, arena, out);
   }
   return out;
-}
-
-void detail::envelope_stats(std::span<const double> envelope,
-                            double sample_rate_hz, const TimingConfig& config,
-                            SegmentTiming& out) {
-  const double peak = common::reduce::max_with(envelope, 0.0);
-  const double level = peak * config.peak_level;
-  const auto support = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::lround(config.peak_support_s * sample_rate_hz)));
-  const std::size_t count =
-      dsp::count_peaks_at_least(envelope, support, level);
-  // A monotone-edged single hump can have its maximum at the window edge
-  // where find_peaks cannot see it; count at least one hump when any
-  // energy is present.
-  out.envelope_peaks = std::max<std::size_t>(count, peak > 0.0 ? 1 : 0);
 }
 
 void detail::asymmetry_stats(std::span<const double> e1,

@@ -65,28 +65,20 @@ AscendingPoints find_ascending_points(
     std::span<const std::span<const double>> windows,
     const AscendingConfig& config = {});
 
-/// Integral timing analysis of one gesture window.
+/// Integral timing analysis of one gesture window: exactly the inputs of
+/// the detect/track router (TypeRouter::route_timing) and of ZEBRA
+/// (ZebraTracker::track_timing).
 ///
 /// The paper compares single ascending points of P1 and P3; with noisy
-/// spiky ΔRSS² the robust integral equivalent is the *energy-centroid time*
-/// of each channel, τ_c = Σ t·E_c(t) / Σ E_c(t): for a scrolling finger the
-/// channel energies arrive in spatial order, so τ_1 < τ_2 < τ_3 with the
-/// outer difference equal to the transit time; for a fixed-spot micro
-/// gesture every channel sees the same (scaled) energy profile and all τ_c
-/// coincide. The summed-energy envelope's hump count separates single
-/// sweeps (scrolls: one hump) from cyclic gestures (several humps).
+/// spiky ΔRSS² the robust integral equivalent is the sweep of the spatial
+/// asymmetry between the outer channels: a scrolling finger lights the
+/// photodiodes in spatial order, so A(t) moves monotonically from one
+/// side to the other over the transit time, while a fixed-spot micro
+/// gesture leaves it near its start or moves it cyclically.
 struct SegmentTiming {
   /// Channel rose above the silence level.
   common::InlineVector<bool, kMaxTimingChannels> active;
-  /// Energy-centroid time per channel.
-  common::InlineVector<double, kMaxTimingChannels> tau_s;
   int first_active = -1;        ///< Lowest-index active channel.
-  int last_active = -1;         ///< Highest-index active channel.
-  /// τ(last_active) − τ(first_active); > 0 means energy reached the P1 side
-  /// first (finger moved P1 → P3). 0 when fewer than 2 channels are active.
-  double dt_outer_s = 0.0;
-  /// Number of major humps of the smoothed summed-energy envelope.
-  std::size_t envelope_peaks = 0;
   /// Spatial asymmetry A(t) = (E_P3 − E_P1)/(ΣE + ε): net change over the
   /// window. A scroll sweeps A monotonically (|ΔA| large, sign = α); every
   /// fixed-spot or cyclic gesture returns A to its start (ΔA ≈ 0). This is
@@ -108,13 +100,8 @@ struct SegmentTiming {
 /// Parameters of the integral timing analysis.
 struct TimingConfig {
   AscendingConfig ascending{};  ///< Silence detection reuses this.
-  double envelope_smooth_s = 0.22;  ///< Envelope moving-average width.
-  double peak_level = 0.30;     ///< Humps must exceed this × envelope max.
-  double peak_support_s = 0.10; ///< Humps must dominate ± this span.
   double asymmetry_smooth_s = 0.15;  ///< Smoothing before computing A(t).
-  /// Fraction of the window averaged to estimate A at each end.
-  double edge_fraction = 0.18;
-  /// ε floor in the A(t) denominator, as a fraction of the envelope peak
+  /// ε floor in the A(t) denominator, as a fraction of the summed-energy peak
   /// (pulls A towards 0 where no energy is present).
   double epsilon_fraction = 0.05;
   /// Seconds of context added on each side of the detected segment before
@@ -143,7 +130,7 @@ dsp::Segment pad_segment(const dsp::Segment& segment, std::size_t limit,
                          double pad_s, double sample_rate_hz);
 
 /// Computes the integral timing of a gesture window at `sample_rate_hz`.
-/// All working arrays (envelopes, smoothed channels, the asymmetry path)
+/// All working arrays (smoothed channels, the asymmetry path)
 /// come from `arena`, which is restored before returning: once the arena
 /// reaches its high-water mark the analysis is allocation-free. Results
 /// are bit-identical to the arena-less overload.
@@ -166,10 +153,6 @@ namespace detail {
 std::optional<std::size_t> ascending_onset(std::span<const double> w,
                                            double peak, double floor,
                                            const AscendingConfig& config);
-
-/// Envelope hump count from the smoothed summed-energy envelope.
-void envelope_stats(std::span<const double> envelope, double sample_rate_hz,
-                    const TimingConfig& config, SegmentTiming& out);
 
 /// Asymmetry-path statistics (ΔA, transit, range, reversals) from the
 /// smoothed outer-channel and summed energies. Scratch from `arena`.

@@ -4,10 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
-#include "common/stats.hpp"
 #include "dsp/filters.hpp"
 
 namespace airfinger::core {
@@ -23,6 +23,54 @@ inline bool same_bits(double x, double y) {
 }
 
 }  // namespace
+
+void StreamingQuantile::reset(double q) {
+  AF_EXPECT(q >= 0.0 && q <= 1.0, "quantile q must lie in [0,1]");
+  q_ = q;
+  low_.clear();
+  high_.clear();
+}
+
+void StreamingQuantile::push(double v) {
+  constexpr std::greater<> min_heap;
+  if (low_.empty() || !(low_.front() < v)) {
+    low_.push_back(v);
+    std::push_heap(low_.begin(), low_.end());
+  } else {
+    high_.push_back(v);
+    std::push_heap(high_.begin(), high_.end(), min_heap);
+  }
+  // quantile_sorted() reads sorted[lo] and sorted[lo + 1] with
+  // lo = ⌊q(n−1)⌋: rebalance so low_ holds exactly the lo + 1 smallest.
+  const std::size_t keep =
+      static_cast<std::size_t>(q_ * static_cast<double>(size() - 1)) + 1;
+  while (low_.size() > keep) {
+    std::pop_heap(low_.begin(), low_.end());
+    high_.push_back(low_.back());
+    low_.pop_back();
+    std::push_heap(high_.begin(), high_.end(), min_heap);
+  }
+  while (low_.size() < keep) {
+    std::pop_heap(high_.begin(), high_.end(), min_heap);
+    low_.push_back(high_.back());
+    high_.pop_back();
+    std::push_heap(low_.begin(), low_.end());
+  }
+}
+
+double StreamingQuantile::value() const {
+  AF_EXPECT(!low_.empty(), "quantile of an empty window");
+  // common::quantile_sorted()'s formula on the two order statistics: the
+  // lo-th is low_'s top and the (lo+1)-th high_'s. With no (lo+1)-th,
+  // low_ holds every value and its top is sorted.back().
+  const std::size_t n = size();
+  if (n == 1) return low_.front();
+  const double pos = q_ * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  if (lo + 1 >= n) return low_.front();
+  return low_.front() * (1.0 - frac) + high_.front() * frac;
+}
 
 void OpenSegmentTiming::configure(std::size_t channels,
                                   double sample_rate_hz,
@@ -43,15 +91,9 @@ void OpenSegmentTiming::configure(std::size_t channels,
   channel_count_ = channels;
   sample_rate_hz_ = sample_rate_hz;
   config_ = config;
-  env_smooth_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::lround(config.envelope_smooth_s * sample_rate_hz)));
   a_smooth_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::lround(config.asymmetry_smooth_s * sample_rate_hz)));
-  peak_support_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::lround(config.peak_support_s * sample_rate_hz)));
   channels_.resize(channel_count_);
   begin_segment();
 }
@@ -60,9 +102,7 @@ void OpenSegmentTiming::begin_segment() {
   n_ = 0;
   for (auto& ch : channels_) {
     ch.peak = 0.0;
-    ch.energy = 0.0;
-    ch.weighted = 0.0;
-    ch.sorted.clear();
+    ch.floor.reset(config_.ascending.floor_quantile);
     ch.smooth.clear();
     ch.rise_level = 0.0;
     ch.rise_valid = false;
@@ -71,8 +111,6 @@ void OpenSegmentTiming::begin_segment() {
     ch.run = 0;
     ch.active = false;
   }
-  envelope_raw_.clear();
-  envelope_.clear();
   esum_.clear();
   a_.clear();
   w_.clear();
@@ -89,33 +127,17 @@ void OpenSegmentTiming::begin_segment() {
   last_refresh_n_ = 0;
   last_changed_ = true;
   probe_no_emit_ = false;
-  env_frontier_ = 0;
-  env_peak_ckpt_ = 0.0;
-  last_env_level_ = 0.0;
-  have_env_level_ = false;
-  env_icut_ = peak_support_;
-  env_count_prefix_ = 0;
-  env_stats_n_ = 0;
-  env_peaks_memo_ = 0;
-  have_env_stats_ = false;
 }
 
 void OpenSegmentTiming::append(std::span<const double> deltas) {
   AF_EXPECT(configured(), "timing cache must be configured before use");
   AF_EXPECT(deltas.size() == channel_count_,
             "frame arity must match the configured channel count");
-  double summed = 0.0;
   for (std::size_t c = 0; c < channel_count_; ++c) {
-    const double v = deltas[c];
     Channel& ch = channels_[c];
-    ch.peak = std::max(ch.peak, v);
-    ch.energy += v;
-    ch.weighted += static_cast<double>(n_) * v;
-    ch.sorted.insert(
-        std::upper_bound(ch.sorted.begin(), ch.sorted.end(), v), v);
-    summed += v;
+    ch.peak = std::max(ch.peak, deltas[c]);
+    ch.floor.push(deltas[c]);
   }
-  envelope_raw_.push_back(summed);
   ++n_;
 }
 
@@ -180,8 +202,7 @@ bool OpenSegmentTiming::refresh(
     bool active = false;
     if (!(windows[c].empty() || ch.peak <= silence_level ||
           ch.peak <= 0.0)) {
-      const double floor = common::quantile_sorted(
-          ch.sorted, config_.ascending.floor_quantile);
+      const double floor = ch.floor.value();
       const double rise =
           floor + config_.ascending.rise_fraction * (ch.peak - floor);
       if (!(ch.rise_valid && same_bits(rise, ch.rise_level))) {
@@ -319,63 +340,6 @@ bool OpenSegmentTiming::refresh(
   return changed;
 }
 
-void OpenSegmentTiming::envelope_stats_incremental(SegmentTiming& out) {
-  if (have_env_stats_ && env_stats_n_ == n_) {
-    out.envelope_peaks = env_peaks_memo_;
-    return;
-  }
-  advance_moving_average(envelope_raw_, env_smooth_, envelope_);
-  const std::size_t half_env = env_smooth_ / 2;
-  const std::size_t frontier = n_ > half_env ? n_ - half_env : 0;
-
-  // Envelope peak: resume the max fold from the finalized frontier.
-  double m = env_peak_ckpt_;
-  for (std::size_t i = env_frontier_; i < frontier; ++i)
-    if (envelope_[i] > m) m = envelope_[i];
-  env_peak_ckpt_ = m;
-  double peak = m;
-  for (std::size_t i = frontier; i < n_; ++i)
-    if (envelope_[i] > peak) peak = envelope_[i];
-  env_frontier_ = frontier;
-
-  const double level = peak * config_.peak_level;
-  const std::size_t support = peak_support_;
-  const auto& k = simd::kernels();
-
-  // A peak decision at index i reads envelope[i ± support]; it is frozen
-  // once that whole neighbourhood lies left of the frontier. `icut` is
-  // the exclusive end of the frozen-decision region.
-  const std::size_t icut =
-      frontier > 2 * support ? frontier - support : support;
-  if (!(have_env_level_ && same_bits(level, last_env_level_))) {
-    // The comparison level moved: every frozen decision is stale. Recount
-    // the frozen prefix in one kernel pass (slice counts are exact — each
-    // per-index decision reads only its own ±support neighbourhood).
-    env_count_prefix_ = k.count_peaks_at_least(
-        envelope_.data(), std::min(n_, icut + support), support, level);
-    env_icut_ = icut;
-    have_env_level_ = true;
-    last_env_level_ = level;
-  } else if (icut > env_icut_) {
-    // Freeze the decisions that became final since the last count.
-    env_count_prefix_ += k.count_peaks_at_least(
-        envelope_.data() + (env_icut_ - support),
-        (icut + support) - (env_icut_ - support), support, level);
-    env_icut_ = icut;
-  }
-  // Live tail: decisions in [env_icut_, n - support) may still change.
-  std::size_t count = env_count_prefix_;
-  count += k.count_peaks_at_least(envelope_.data() + (env_icut_ - support),
-                                  n_ - (env_icut_ - support), support, level);
-  // A monotone-edged single hump can have its maximum at the window edge
-  // where find_peaks cannot see it; count at least one hump when any
-  // energy is present (mirrors detail::envelope_stats).
-  out.envelope_peaks = std::max<std::size_t>(count, peak > 0.0 ? 1 : 0);
-  env_peaks_memo_ = out.envelope_peaks;
-  env_stats_n_ = n_;
-  have_env_stats_ = true;
-}
-
 SegmentTiming OpenSegmentTiming::timing(
     std::span<const std::span<const double>> windows,
     common::ScratchArena& arena) {
@@ -384,24 +348,11 @@ SegmentTiming OpenSegmentTiming::timing(
 
   SegmentTiming out;
   out.active.resize(channel_count_, false);
-  out.tau_s.resize(channel_count_, 0.0);
   for (std::size_t c = 0; c < channel_count_; ++c) {
-    const Channel& ch = channels_[c];
-    out.active[c] = ch.active;
-    if (!ch.active) continue;
-    if (out.first_active < 0) out.first_active = static_cast<int>(c);
-    out.last_active = static_cast<int>(c);
-    out.tau_s[c] = ch.energy > 0.0
-                       ? (ch.weighted / ch.energy) / sample_rate_hz_
-                       : 0.0;
+    out.active[c] = channels_[c].active;
+    if (out.active[c] && out.first_active < 0)
+      out.first_active = static_cast<int>(c);
   }
-  if (out.first_active >= 0 && out.last_active > out.first_active) {
-    out.dt_outer_s =
-        out.tau_s[static_cast<std::size_t>(out.last_active)] -
-        out.tau_s[static_cast<std::size_t>(out.first_active)];
-  }
-
-  if (n_ > 0) envelope_stats_incremental(out);
   if (n_ >= 8) {
     out.asymmetry_start = asym_start_;
     out.asymmetry_end = asym_end_;

@@ -1,16 +1,17 @@
 // Incremental timing analysis of the currently open segment.
 //
-// While a gesture is open, the early-direction probe recomputes
-// segment_timing() over the whole open window on every frame — an O(n·w)
-// cost (dominated by the brute moving averages and the quantile sorts)
-// that grows with the window and is paid ~100×/s. OpenSegmentTiming turns
-// that into an amortized O(1)–O(n) per frame by exploiting that the window
-// only ever *grows at the right edge*:
+// While a gesture is open, the early-direction probe needs the router's
+// and ZEBRA's inputs — the active-channel set and the asymmetry figures —
+// over the whole open window on every frame. Recomputing segment_timing()
+// each time is an O(n·w) cost (dominated by the brute moving averages and
+// the quantile selection) that grows with the window and is paid ~100×/s.
+// OpenSegmentTiming turns that into amortized O(log n)–O(w) work per frame
+// by exploiting that the window only ever *grows at the right edge*:
 //
-//  - per-channel peaks and the energy / weighted-energy sums are running
-//    left-to-right folds — appending one sample extends the identical fold;
-//  - the noise-floor quantile reads a maintained sorted array (same value
-//    multiset as quantile()'s sort of the window);
+//  - per-channel peaks are running left-to-right max folds — appending
+//    one sample extends the identical fold;
+//  - the noise-floor quantile reads the tops of two heaps
+//    (StreamingQuantile), which take each sample in O(log n);
 //  - a length-w moving average only changes for outputs whose window
 //    touches the new sample — the trailing half-window — so the caches
 //    recompute just those entries, with the same brute per-output loop
@@ -23,10 +24,7 @@
 //    esum-peak — and with it ε and the energy gate — changes bits);
 //  - ascending-point scans early-exit at the first confirmed run and are
 //    resumed from the last scanned sample while the rise level's bits are
-//    unchanged (raw windows are grow-only, so a found onset never moves);
-//  - the envelope hump count freezes per-index peak decisions whose
-//    ±support neighbourhood is final and recounts only the live tail
-//    (full recount when the peak level changes bits).
+//    unchanged (raw windows are grow-only, so a found onset never moves).
 //
 // refresh() additionally *detects change*: it reports whether any
 // decision-relevant statistic (the active-channel set and the asymmetry
@@ -45,6 +43,27 @@
 #include "core/ascending.hpp"
 
 namespace airfinger::core {
+
+/// Fixed-q linear-interpolated quantile of a grow-only multiset, in
+/// O(log n) per push. A max-heap holds the ⌊q(n−1)⌋+1 smallest values and
+/// a min-heap the rest, so the two order statistics common::quantile_sorted
+/// interpolates between are the two heap tops; value() applies its exact
+/// formula to them and so returns the same bits as quantile_sorted() over a
+/// sorted copy. clear() keeps both heaps' capacity.
+class StreamingQuantile {
+ public:
+  /// Empties the multiset and sets q (in [0,1]) for the values that follow.
+  void reset(double q);
+  void push(double v);
+  std::size_t size() const { return low_.size() + high_.size(); }
+  /// Requires size() > 0.
+  double value() const;
+
+ private:
+  double q_ = 0.0;
+  std::vector<double> low_;   ///< Max-heap: the ⌊q(n−1)⌋+1 smallest values.
+  std::vector<double> high_;  ///< Min-heap: every other value.
+};
 
 /// Incrementally maintained segment_timing() over a grow-only window.
 /// Not thread-safe; owned by one Session (or test) at a time. Buffers keep
@@ -99,15 +118,9 @@ class OpenSegmentTiming {
   static void advance_moving_average(std::span<const double> x, std::size_t w,
                                      std::vector<double>& out);
 
-  /// Envelope hump count (detail::envelope_stats) with frozen-prefix peak
-  /// decisions; writes out.envelope_peaks.
-  void envelope_stats_incremental(SegmentTiming& out);
-
   struct Channel {
-    double peak = 0.0;      ///< Running max of the window.
-    double energy = 0.0;    ///< Σ x[i], appended left to right.
-    double weighted = 0.0;  ///< Σ i·x[i], appended left to right.
-    std::vector<double> sorted;  ///< Window values, ascending (floor quantile).
+    double peak = 0.0;        ///< Running max of the window.
+    StreamingQuantile floor;  ///< Window values (noise-floor quantile).
     std::vector<double> smooth;  ///< MA(window, a_smooth), lazily advanced.
     // Ascending-point scan memo. Raw windows are grow-only, so while the
     // rise level keeps its bits a scan can resume where the last one
@@ -124,13 +137,9 @@ class OpenSegmentTiming {
   std::size_t channel_count_ = 0;
   double sample_rate_hz_ = 0.0;
   TimingConfig config_{};
-  std::size_t env_smooth_ = 1;  ///< Envelope moving-average width, samples.
   std::size_t a_smooth_ = 1;    ///< Asymmetry moving-average width, samples.
-  std::size_t peak_support_ = 1;  ///< Envelope hump support, samples.
   std::size_t n_ = 0;
   std::vector<Channel> channels_;
-  std::vector<double> envelope_raw_;  ///< Per-sample summed channel energy.
-  std::vector<double> envelope_;      ///< MA(envelope_raw_, env_smooth_).
   std::vector<double> esum_;          ///< Σ_c channels_[c].smooth.
 
   // ---- asymmetry-path state (a_smooth_ finalized frontier) -------------
@@ -153,17 +162,6 @@ class OpenSegmentTiming {
   std::size_t last_refresh_n_ = 0;  ///< Window length of the last refresh.
   bool last_changed_ = true;        ///< Its change verdict (memoized).
   bool probe_no_emit_ = false;      ///< Last probe verdict was nullopt.
-
-  // ---- envelope state (env_smooth_ finalized frontier) -----------------
-  std::size_t env_frontier_ = 0;   ///< envelope_ entries < this are final.
-  double env_peak_ckpt_ = 0.0;     ///< max fold of envelope_[0, frontier).
-  double last_env_level_ = 0.0;    ///< Peak level the counts were taken at.
-  bool have_env_level_ = false;
-  std::size_t env_icut_ = 0;       ///< Peak decisions in [support, icut) frozen.
-  std::size_t env_count_prefix_ = 0;  ///< Their accumulated count.
-  std::size_t env_stats_n_ = 0;    ///< Window length of the last count.
-  std::size_t env_peaks_memo_ = 0; ///< envelope_peaks at env_stats_n_.
-  bool have_env_stats_ = false;
 };
 
 }  // namespace airfinger::core

@@ -2,8 +2,11 @@
 //
 // For a detect-aimed gesture the ascending points of all photodiodes occur
 // almost simultaneously; for a track-aimed gesture they occur in order. The
-// router compares the spread of ascending points against the threshold
-// I_g (30 ms in Sec. V-A).
+// paper compares the spread of ascending points against the threshold I_g
+// (30 ms in Sec. V-A). The router applies the integral form of that rule
+// (DESIGN.md §6): a gesture is track-aimed when the spatial asymmetry A(t)
+// between the outer photodiodes sweeps monotonically by a clear net swing
+// and takes at least I_g to cross the middle of that swing.
 #pragma once
 
 #include "core/ascending.hpp"
@@ -34,10 +37,12 @@ class TypeRouter {
 
   const TypeRouterConfig& config() const { return config_; }
 
-  /// Classifies the gesture in `segment`: track-aimed when the energy is a
-  /// single sweep (unimodal envelope) whose per-channel arrival times are
-  /// ordered with an outer difference of at least I_g; detect-aimed
-  /// otherwise (simultaneous arrivals or a cyclic multi-hump envelope).
+  /// Classifies the gesture in `segment` by route_timing() over the
+  /// segment's timing analysis: track-aimed when some channel rose and the
+  /// asymmetry path is a monotone sweep (no reversals) whose net swing
+  /// |ΔA| is at least asymmetry_threshold and at least monotone_fraction of
+  /// the path's range, with a transit time of at least I_g; detect-aimed
+  /// otherwise (nothing rose, A barely moved, or A reversed).
   GestureCategory route(const ProcessedTrace& processed,
                         const dsp::Segment& segment) const;
 

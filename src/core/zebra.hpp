@@ -21,7 +21,7 @@ struct ZebraConfig {
   double experience_velocity_mps = 0.080;  ///< v' = 80 mm/s.
   /// Calibration gain on pd_span / Δt. The paper only requires velocity to
   /// be proportional to the measured time difference (Alg. 1 line 11 reads
-  /// "v(Δt) = Δt"); the energy-centroid Δt underestimates the geometric
+  /// "v(Δt) = Δt"); the asymmetry transit Δt underestimates the geometric
   /// transit slightly, so a fitted gain maps it to physical units.
   double velocity_gain = 1.0;
   TimingConfig timing{};

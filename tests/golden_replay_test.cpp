@@ -78,14 +78,6 @@ std::string hex(double v) {
   return buffer;
 }
 
-double parse_hex(const std::string& token) {
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  AF_EXPECT(end != token.c_str() && *end == '\0',
-            "golden file: malformed number '" + token + "'");
-  return v;
-}
-
 // Trace (de)serialization lives in sensor/trace_io.hpp (shared with
 // af_inspect --stats); this file keeps only the event text format.
 

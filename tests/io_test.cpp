@@ -11,10 +11,17 @@
 namespace airfinger {
 namespace {
 
+// Each test writes its own file: ctest runs the tests of this fixture as
+// separate processes, concurrently under -j, in one working directory.
 class DatasetIoTest : public ::testing::Test {
  protected:
+  void SetUp() override {
+    path_ = std::string("io_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
+  }
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "io_test_corpus.csv";
+  std::string path_;
 };
 
 TEST(CsvSplit, HonoursQuoting) {

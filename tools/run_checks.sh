@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full verification gauntlet, CI-runnable: exits non-zero on any failure.
 #
-#   1. tier-1: standard build + full ctest suite
+#   1. tier-1: standard build (warnings are errors) + full ctest suite
 #   2. observability: the instrumentation determinism/aggregation suites
 #   3. asan:   ASan/UBSan build of the model/features/session/concurrency
 #              suites
@@ -45,8 +45,8 @@ while [[ "${1:-}" == --* ]]; do
 done
 BUILD="${1:-${ROOT}/build}"
 
-echo "== tier-1: build + ctest =="
-cmake -B "${BUILD}" -S "${ROOT}"
+echo "== tier-1: build (-Werror) + ctest =="
+cmake -B "${BUILD}" -S "${ROOT}" -DAIRFINGER_WERROR=ON
 cmake --build "${BUILD}" -j
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
 
