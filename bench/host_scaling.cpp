@@ -3,8 +3,10 @@
 //
 // Measures the production shape behind ROADMAP item 1: one immutable
 // ModelBundle, N concurrent streams hashed across S shard worker threads,
-// bounded SPSC ingest rings between the producer and the workers. Two
-// workloads run per shard count:
+// bounded SPSC ingest rings between one producer per shard and the
+// workers. Every shard count, 1 included, runs that same design, so the
+// 1 -> 4 shard ratio compares like with like. Two workloads run per shard
+// count, both fed by MultiSessionHost::feed_round_robin:
 //
 //   * small: `--streams` full gesture streams via run_round_robin (the
 //     latency-ish shape the old bench measured), best-of `--rounds`;
@@ -13,8 +15,7 @@
 //     the 10k-concurrent-stream throughput number.
 //
 // Event streams are cross-checked for bit identity across every shard
-// count (the shardless inline host is the reference); divergence fails
-// the bench. Scaling is gated hardware-awareness first: when the machine
+// count (the 1-shard run is the reference); divergence fails the bench. Scaling is gated hardware-awareness first: when the machine
 // actually has >= 4 hardware threads the 4-shard run must clear
 // `--min-speedup` (default 1.6x) over 1 shard and throughput must be
 // monotone non-decreasing in shard count (5% tolerance); on narrower
@@ -91,9 +92,7 @@ RunResult run_small(const std::shared_ptr<const core::ModelBundle>& bundle,
   core::MultiSessionHost host(bundle, traces.size(),
                               bundle->config().fault_policy, config);
   const auto start = std::chrono::steady_clock::now();
-  // One producer thread per shard (bit-identical events): wide shard
-  // counts measure the host instead of a single-threaded feeder.
-  auto events = host.run_round_robin_parallel(traces, frames_per_turn);
+  auto events = host.run_round_robin(traces, frames_per_turn);
   RunResult result;
   result.wall_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
@@ -104,9 +103,9 @@ RunResult run_small(const std::shared_ptr<const core::ModelBundle>& bundle,
 }
 
 /// Big workload: `sessions` lanes reusing `traces` mod size, each fed up
-/// to `frames_per_stream` frames in interleaved bursts (one producer
-/// thread per shard, the shard workers consuming concurrently), then
-/// finished and drained.
+/// to `frames_per_stream` frames in interleaved bursts (one producer per
+/// shard, the shard workers consuming concurrently), then finished and
+/// drained.
 RunResult run_big(const std::shared_ptr<const core::ModelBundle>& bundle,
                   const std::vector<sensor::MultiChannelTrace>& traces,
                   std::size_t sessions, std::size_t frames_per_stream,
@@ -117,7 +116,7 @@ RunResult run_big(const std::shared_ptr<const core::ModelBundle>& bundle,
                               bundle->config().fault_policy, config);
 
   const auto start = std::chrono::steady_clock::now();
-  bench::feed_pooled(host, traces, sessions, frames_per_stream, burst);
+  host.feed_round_robin(traces, burst, frames_per_stream);
   host.finish();
   RunResult result;
   result.events = host.drain();

@@ -306,9 +306,9 @@ int main(int argc, char** argv) {
     for (int r = 0; r < 2; ++r) {
       core::MultiSessionHost host(bundle, traces.size());
       const auto start = std::chrono::steady_clock::now();
-      // Parallel per-shard feeders: the sweep measures the host, not a
+      // One feeder per shard: the sweep measures the host, not a
       // single-threaded producer (events stay bit-identical).
-      const auto events = host.run_round_robin_parallel(traces, turn);
+      const auto events = host.run_round_robin(traces, turn);
       const double wall = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)
                               .count();
@@ -342,8 +342,7 @@ int main(int argc, char** argv) {
                                   host_config);
       const auto start = std::chrono::steady_clock::now();
       constexpr std::size_t kBurst = 64;
-      bench::feed_pooled(host, big_traces, big_streams, big_frames,
-                         kBurst);
+      host.feed_round_robin(big_traces, kBurst, big_frames);
       host.finish();
       const double wall = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - start)

@@ -1,11 +1,8 @@
 #include "support.hpp"
 
-#include <algorithm>
 #include <iomanip>
 #include <optional>
-#include <thread>
 
-#include "common/error.hpp"
 #include "common/parallel.hpp"
 
 namespace airfinger::bench {
@@ -97,41 +94,6 @@ void print_comparison(const std::string& metric, double paper,
   std::cout << std::fixed << std::setprecision(2) << "  " << metric
             << ": paper " << paper * 100.0 << "%  measured "
             << measured * 100.0 << "%\n";
-}
-
-void feed_pooled(core::MultiSessionHost& host,
-                 const std::vector<sensor::MultiChannelTrace>& traces,
-                 std::size_t sessions, std::size_t frames_per_stream,
-                 std::size_t burst) {
-  AF_EXPECT(!traces.empty(), "feed_pooled needs at least one trace");
-  AF_EXPECT(burst >= 1, "feed_pooled burst must be >= 1");
-  const std::size_t channels = traces.front().channel_count();
-  const auto feed_lanes = [&](std::size_t first, std::size_t stride) {
-    std::vector<double> frame(channels);
-    for (std::size_t offset = 0; offset < frames_per_stream;
-         offset += burst) {
-      for (std::size_t lane = first; lane < sessions; lane += stride) {
-        const auto& trace = traces[lane % traces.size()];
-        const std::size_t limit = std::min(
-            {offset + burst, frames_per_stream, trace.sample_count()});
-        for (std::size_t f = offset; f < limit; ++f) {
-          for (std::size_t c = 0; c < channels; ++c)
-            frame[c] = trace.channel(c)[f];
-          host.feed(lane, frame);
-        }
-      }
-    }
-  };
-  const std::size_t shards = host.shard_count();
-  if (shards < 2) {  // inline mode: single feeder only (shared drain scratch)
-    feed_lanes(0, 1);
-    return;
-  }
-  std::vector<std::thread> feeders;
-  feeders.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s)
-    feeders.emplace_back(feed_lanes, s, shards);
-  for (auto& t : feeders) t.join();
 }
 
 }  // namespace airfinger::bench

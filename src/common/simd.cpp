@@ -20,7 +20,7 @@ const Kernels& scalar_table() {
       &scalar_count_matches,
       &scalar_apen_phi,
       &scalar_entropy_counts,
-      &scalar_count_peaks_at_least,
+      &scalar_count_peaks,
       &scalar_goertzel_batch,
       &scalar_fft_stage,
       &scalar_forest_leaves,

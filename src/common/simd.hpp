@@ -75,10 +75,9 @@ struct Kernels {
                          double r, std::uint32_t* cm, std::uint32_t* cm1,
                          std::size_t* pairs_m, std::size_t* pairs_m1);
 
-  /// Peaks strictly above their `support` neighbours on both sides whose
-  /// value is >= level. level = -HUGE_VAL counts every peak.
-  std::size_t (*count_peaks_at_least)(const double* x, std::size_t n,
-                                      std::size_t support, double level);
+  /// Peaks strictly above their `support` neighbours on both sides.
+  std::size_t (*count_peaks)(const double* x, std::size_t n,
+                             std::size_t support);
 
   /// k Goertzel recurrences over the same window, one lane per frequency:
   /// s0 = (x[i] + coeff*s1) - s2. Final states land in s1/s2 (size k).

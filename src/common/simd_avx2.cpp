@@ -39,10 +39,6 @@ struct Avx2Ops {
     return static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ)));
   }
-  static unsigned ge_mask(V a, V b) {
-    return static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GE_OQ)));
-  }
   static unsigned within_mask(V a, V b, V r) {
     const V diff = _mm256_sub_pd(a, b);
     const V magnitude = _mm256_andnot_pd(_mm256_set1_pd(-0.0), diff);
@@ -100,7 +96,7 @@ const Kernels& avx2_table() {
       &count_matches_v<Avx2Ops>,
       &apen_phi_v<Avx2Ops>,
       &entropy_counts_v<Avx2Ops>,
-      &count_peaks_at_least_v<Avx2Ops>,
+      &count_peaks_v<Avx2Ops>,
       &goertzel_batch_v<Avx2Ops>,
       &avx2_fft_stage,
       &interleaved_forest_leaves,

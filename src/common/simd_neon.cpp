@@ -9,7 +9,7 @@
 // vector kernels whose bit-identity cannot depend on contraction:
 //
 //   - accumulate, moving_average_range: additions only, nothing to fuse.
-//   - count_matches, apen_phi, count_peaks_at_least: compare + integer
+//   - count_matches, apen_phi, count_peaks: compare + integer
 //     count; the subtraction inside the Chebyshev test is a lone sub.
 //
 // The mul+add kernels (acf_numerators, conv_clipped, goertzel_batch,
@@ -46,7 +46,6 @@ struct NeonOps {
            static_cast<unsigned>((vgetq_lane_u64(m, 1) & 1u) << 1);
   }
   static unsigned gt_mask(V a, V b) { return movemask(vcgtq_f64(a, b)); }
-  static unsigned ge_mask(V a, V b) { return movemask(vcgeq_f64(a, b)); }
   static unsigned within_mask(V a, V b, V r) {
     return movemask(vcleq_f64(vabsq_f64(vsubq_f64(a, b)), r));
   }
@@ -64,7 +63,7 @@ const Kernels& neon_table() {
       &count_matches_v<NeonOps>,
       &apen_phi_v<NeonOps>,
       &entropy_counts_v<NeonOps>,
-      &count_peaks_at_least_v<NeonOps>,
+      &count_peaks_v<NeonOps>,
       &scalar_goertzel_batch,  // mul+add: contraction hazard
       &scalar_fft_stage,       // mul+add: contraction hazard
       &interleaved_forest_leaves,  // ILP descent, scalar ISA: no hazard

@@ -33,9 +33,6 @@ struct Sse2Ops {
   static unsigned gt_mask(V a, V b) {
     return static_cast<unsigned>(_mm_movemask_pd(_mm_cmpgt_pd(a, b)));
   }
-  static unsigned ge_mask(V a, V b) {
-    return static_cast<unsigned>(_mm_movemask_pd(_mm_cmpge_pd(a, b)));
-  }
   static unsigned within_mask(V a, V b, V r) {
     // |a - b| <= r; clearing the sign bit is exactly std::fabs, and the
     // ordered compare is false on NaN like the scalar <=.
@@ -57,7 +54,7 @@ const Kernels& sse2_table() {
       &count_matches_v<Sse2Ops>,
       &apen_phi_v<Sse2Ops>,
       &entropy_counts_v<Sse2Ops>,
-      &count_peaks_at_least_v<Sse2Ops>,
+      &count_peaks_v<Sse2Ops>,
       &goertzel_batch_v<Sse2Ops>,
       &scalar_fft_stage,
       &interleaved_forest_leaves,

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <limits>
-#include <mutex>
+#include <functional>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -18,7 +17,6 @@ namespace {
 /// Frames drained from one lane per worker sweep pass, so a deep backlog
 /// on one lane cannot starve its shard siblings' latency.
 constexpr std::size_t kSweepChunk = 256;
-constexpr std::size_t kAllFrames = std::numeric_limits<std::size_t>::max();
 
 /// Wall clock for the shard telemetry and the ingest stamps. Deliberately
 /// NOT the session's injectable clock: queue wait and busy fractions
@@ -36,12 +34,11 @@ std::uint64_t host_now_ns() {
 // ------------------------------------------------------- shard telemetry
 
 /// Per-shard utilization registry (DESIGN.md §18). Written by exactly one
-/// thread — the shard's worker, or the caller thread for the inline
-/// pseudo-shard — and read only at quiescence, so it follows the same
-/// single-writer discipline as the per-session registries. Series are
-/// shard-index-named (there are no labels) and merged into
-/// aggregate_metrics() only under include_load_series, keeping the default
-/// exposition shard-count-invariant.
+/// thread — the shard's worker — and read only at quiescence, so it
+/// follows the same single-writer discipline as the per-session
+/// registries. Series are shard-index-named (there are no labels) and
+/// merged into aggregate_metrics() only under include_load_series,
+/// keeping the default exposition shard-count-invariant.
 struct MultiSessionHost::ShardStats {
   obs::Registry registry;
   obs::Registry::Handle parks, unparks, frames_drained, drain_batches,
@@ -84,37 +81,53 @@ struct MultiSessionHost::ShardStats {
 
 // --------------------------------------------------------------- shard
 
-/// One worker shard: the lanes it owns (lane index % shard count) and the
-/// park/unpark synchronization between its worker thread, the producer's
-/// feed(), and the host's quiesce().
+/// One worker shard: its thread, the lanes it owns (lane index % shard
+/// count), and the one word the worker sleeps on.
 ///
-/// The parking protocol is a Dekker handshake over the `parked` flag: the
-/// worker sets `parked`, issues a seq_cst fence, and re-checks its rings —
-/// while the producer pushes a frame, issues a seq_cst fence, and checks
-/// `parked`. The paired fences guarantee at least one side sees the other,
-/// so a frame can never land unseen in a parked shard's ring (no lost
-/// wakeup) and the worker never parks while work is visible. The mutex is
-/// only taken when a park or unpark actually happens — the steady-state
-/// feed/drain path is lock-free.
+/// Parking is a Dekker handshake over `state`: the worker stores kParking,
+/// issues a seq_cst fence, and re-checks `stop` and its rings, while a
+/// feeder pushes a frame, issues a seq_cst fence, and loads `state`
+/// (wake()). The paired fences guarantee at least one side sees the
+/// other, so a frame can never land unseen in a sleeping shard's ring
+/// (no lost wakeup) and the worker never sleeps while work is visible. A
+/// worker whose re-check finds nothing commits kParking -> kIdle by CAS
+/// and sleeps in `state.wait`; a wake that lands during the re-check
+/// makes the CAS fail instead of being lost. quiesce() waits for kIdle,
+/// whose release publishes everything the worker wrote; the wake's
+/// release store publishes back to the worker what the owner changed while
+/// it slept (`owned`, retired lanes, `stop`). The steady-state feed costs
+/// one fence plus one relaxed load, and no lock exists.
 struct MultiSessionHost::Shard {
-  std::vector<Lane*> owned;  ///< Mutated only while the worker is parked.
-  std::mutex m;
-  std::condition_variable cv;       ///< Wakes the parked worker.
-  std::condition_variable idle_cv;  ///< Wakes quiesce().
-  bool stop = false;                ///< Guarded by m.
-  std::vector<double> frame;        ///< Worker-side pop scratch (channels).
-  ShardStats* stats = nullptr;      ///< Worker-written telemetry block.
+  enum : std::uint32_t { kAwake, kParking, kIdle };
 
-  // Blocked producers spin-poll `parked` while the worker reads `owned` /
+  explicit Shard(std::size_t index, std::size_t channels)
+      : frame(channels), stats(index) {}
+
+  std::vector<Lane*> owned;   ///< Mutated only while the worker is idle.
+  std::vector<double> frame;  ///< Worker-side pop scratch (channels).
+  ShardStats stats;           ///< Worker-written telemetry block.
+  std::atomic<bool> stop{false};
+  std::thread worker;
+
+  // Feeders load `state` on every feed while the worker reads `owned` /
   // `frame` headers every pop; its own line (and the alignas-rounded
   // sizeof) keeps that polling off the worker's hot fields and off the
   // neighbouring shard in the shard array.
-  alignas(64) std::atomic<bool> parked{false};
+  alignas(64) std::atomic<std::uint32_t> state{kAwake};
 
   bool rings_empty() const {
     for (const Lane* lane : owned)
       if (!lane->ring.empty()) return false;
     return true;
+  }
+
+  /// Feeder side of the handshake, once a pushed frame (or `stop`) is
+  /// visible: wakes the worker only when it may be asleep.
+  void wake() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (state.load(std::memory_order_relaxed) == kAwake) return;
+    state.store(kAwake, std::memory_order_release);
+    state.notify_one();
   }
 };
 
@@ -158,7 +171,6 @@ MultiSessionHost::MultiSessionHost(std::shared_ptr<const ModelBundle> bundle,
   AF_EXPECT(config_.ring_frames >= 1,
             "MultiSessionHost ring capacity must be >= 1 frame");
   const std::size_t channels = bundle_->config().channels;
-  scratch_frame_.resize(channels);
 
   shard_count_ = config_.shards != 0 ? config_.shards
                                      : common::current_thread_count();
@@ -172,47 +184,45 @@ MultiSessionHost::MultiSessionHost(std::shared_ptr<const ModelBundle> bundle,
     lanes_.push_back(std::make_unique<Lane>(
         i, bundle_, policy_, config_.ring_frames * channels, stamp_stride));
 
-  shard_stats_.reserve(shard_count_);
-  for (std::size_t s = 0; s < shard_count_; ++s)
-    shard_stats_.push_back(std::make_unique<ShardStats>(s));
-
-  if (shard_count_ < 2) return;  // inline mode: no worker threads at all
   shards_.reserve(shard_count_);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->frame.resize(channels);
-    shard->stats = shard_stats_[s].get();
-    shards_.push_back(std::move(shard));
-  }
+  for (std::size_t s = 0; s < shard_count_; ++s)
+    shards_.push_back(std::make_unique<Shard>(s, channels));
   for (std::size_t i = 0; i < sessions; ++i)
     shards_[i % shard_count_]->owned.push_back(lanes_[i].get());
-  workers_.reserve(shard_count_);
-  for (std::size_t s = 0; s < shard_count_; ++s)
-    workers_.emplace_back([this, s] { worker_loop(*shards_[s]); });
+  for (auto& shard : shards_)
+    shard->worker = std::thread(worker_loop, std::ref(*shard));
 }
 
 MultiSessionHost::~MultiSessionHost() {
   for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->m);
-    shard->stop = true;
-    shard->parked.store(false, std::memory_order_relaxed);
-    shard->cv.notify_one();
+    shard->stop.store(true, std::memory_order_relaxed);
+    shard->wake();
   }
-  for (auto& worker : workers_) worker.join();
+  for (auto& shard : shards_) shard->worker.join();
 }
 
 // ------------------------------------------------------- worker / drain
 
 std::size_t MultiSessionHost::drain_lane(Lane& lane, std::span<double> frame,
                                          std::size_t max_frames,
-                                         ShardStats* stats) {
+                                         ShardStats& stats) {
+  // Publishes ring progress once per non-empty drain, waking a feeder
+  // blocked on this lane (including one whose lane just died: it wakes,
+  // sees `faulted`, and drops its frame).
+  const auto publish = [&lane](std::size_t frames) {
+    if (frames != 0 &&
+        (lane.drains.fetch_add(Lane::kDrainStep, std::memory_order_release) &
+         Lane::kFeederWaiting))
+      lane.drains.notify_one();
+    return frames;
+  };
   const std::size_t channels = frame.size();
   if (lane.faulted.load(std::memory_order_relaxed) || lane.retired) {
     // Quarantined or retired: the ring is a sink. Count what the lane can
     // no longer process so dropped totals stay exact.
     const std::size_t frames = lane.ring.discard_all() / channels;
     lane.dropped_consumer += frames;
-    return frames;
+    return publish(frames);
   }
   std::size_t consumed = 0;
   std::uint64_t oldest_stamp = 0;
@@ -244,30 +254,29 @@ std::size_t MultiSessionHost::drain_lane(Lane& lane, std::span<double> frame,
     }
   }
 #if AF_OBS_TRACE_ENABLED
-  if (stats != nullptr && consumed != 0) {
+  if (consumed != 0) {
     // One queue-wait sample per non-empty batch: the first (oldest) frame
     // popped, which bounds the residency of everything behind it.
     if (oldest_stamp != 0) {
       const std::uint64_t now = host_now_ns();
-      stats->registry.observe(
-          stats->wait_hist,
+      stats.registry.observe(
+          stats.wait_hist,
           now > oldest_stamp ? static_cast<double>(now - oldest_stamp)
                              : 0.0);
     }
-    stats->registry.inc(stats->frames_drained, consumed);
-    stats->registry.inc(stats->drain_batches);
-    stats->registry.observe(stats->batch_hist,
-                            static_cast<double>(consumed));
+    stats.registry.inc(stats.frames_drained, consumed);
+    stats.registry.inc(stats.drain_batches);
+    stats.registry.observe(stats.batch_hist, static_cast<double>(consumed));
   }
 #else
   (void)stats;
   (void)oldest_stamp;
 #endif
-  return consumed;
+  return publish(consumed);
 }
 
 void MultiSessionHost::worker_loop(Shard& shard) {
-  ShardStats* stats = shard.stats;
+  ShardStats& stats = shard.stats;
   for (;;) {
 #if AF_OBS_TRACE_ENABLED
     const std::uint64_t sweep_t0 = host_now_ns();
@@ -277,55 +286,47 @@ void MultiSessionHost::worker_loop(Shard& shard) {
       did += drain_lane(*lane, shard.frame, kSweepChunk, stats);
 #if AF_OBS_TRACE_ENABLED
     if (did != 0)
-      stats->registry.inc(stats->busy_ns, host_now_ns() - sweep_t0);
+      stats.registry.inc(stats.busy_ns, host_now_ns() - sweep_t0);
     else
-      stats->registry.inc(stats->idle_passes);
+      stats.registry.inc(stats.idle_passes);
 #endif
     if (did != 0) continue;
 
-    std::unique_lock<std::mutex> lock(shard.m);
-    if (shard.stop) return;
-    shard.parked.store(true, std::memory_order_relaxed);
+    shard.state.store(Shard::kParking, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (shard.stop.load(std::memory_order_relaxed)) return;
     if (!shard.rings_empty()) {
-      // A frame raced in between the sweep and the park: un-park and go
-      // get it (the fence pairing with feed() makes this check reliable).
-      shard.parked.store(false, std::memory_order_relaxed);
+      // A frame raced in between the sweep and the park: go get it (the
+      // fence pairing with wake() makes this check reliable).
+      shard.state.store(Shard::kAwake, std::memory_order_relaxed);
       continue;
     }
+    // Counted before the commit publishes them to quiesce(). A wake that
+    // beats the commit counts as a park of ~0 ns.
 #if AF_OBS_TRACE_ENABLED
-    stats->registry.inc(stats->parks);
+    stats.registry.inc(stats.parks);
     const std::uint64_t park_t0 = host_now_ns();
 #endif
-    shard.idle_cv.notify_all();
-    shard.cv.wait(lock, [&] {
-      return shard.stop || !shard.parked.load(std::memory_order_relaxed);
-    });
+    std::uint32_t parking = Shard::kParking;
+    if (shard.state.compare_exchange_strong(parking, Shard::kIdle,
+                                            std::memory_order_release,
+                                            std::memory_order_acquire)) {
+      shard.state.notify_all();  // quiesce() waits for kIdle
+      shard.state.wait(Shard::kIdle, std::memory_order_acquire);
+    }
 #if AF_OBS_TRACE_ENABLED
-    stats->registry.inc(stats->parked_ns, host_now_ns() - park_t0);
-    stats->registry.inc(stats->unparks);
+    stats.registry.inc(stats.parked_ns, host_now_ns() - park_t0);
+    stats.registry.inc(stats.unparks);
 #endif
-    if (shard.stop) return;
+    if (shard.stop.load(std::memory_order_relaxed)) return;
   }
 }
 
 void MultiSessionHost::quiesce() const {
-  if (workers_.empty()) {
-    // Inline mode: the caller is the consumer, so the barrier IS the
-    // drain (through the lanes' own indirection; see the header note).
-    for (const auto& lane : lanes_)
-      drain_lane(*lane, scratch_frame_, kAllFrames,
-                 shard_stats_.front().get());
-    return;
-  }
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::unique_lock<std::mutex> lock(shard.m);
-    shard.idle_cv.wait(lock, [&] {
-      return shard.parked.load(std::memory_order_relaxed) &&
-             shard.rings_empty();
-    });
-  }
+  for (const auto& shard : shards_)
+    for (std::uint32_t s;
+         (s = shard->state.load(std::memory_order_acquire)) != Shard::kIdle;)
+      shard->state.wait(s, std::memory_order_acquire);
 }
 
 // ------------------------------------------------------------ streaming
@@ -357,69 +358,37 @@ bool MultiSessionHost::feed(std::size_t session,
   const std::uint64_t ingest_tick = 0;  // stride 0: the ring ignores it
 #endif
 
-  if (workers_.empty()) {
-    // Inline mode: the caller is the consumer. A full ring under kBlock is
-    // drained in place (deterministic: this lane's frames in feed order).
-    if (!lane.ring.try_push(frame, ingest_tick)) {
-      if (config_.admission == Admission::kReject) {
-        ++lane.rejected;
-        return false;
-      }
-      ++lane.blocked;
-      drain_lane(lane, scratch_frame_, kAllFrames,
-                 shard_stats_.front().get());
-      if (lane.faulted.load(std::memory_order_relaxed)) {
-        ++lane.dropped_producer;
-        return false;
-      }
-      // Ring was just emptied; cannot fail.
-      lane.ring.try_push(frame, ingest_tick);
-    }
-    lane.high_water =
-        std::max(lane.high_water, lane.ring.size() / frame.size());
-    return true;
-  }
-
-  Shard& shard = *shards_[session % shard_count_];
   if (!lane.ring.try_push(frame, ingest_tick)) {
     if (config_.admission == Admission::kReject) {
       ++lane.rejected;
       return false;
     }
-    // Lossless backpressure: wait for the shard worker to make room. The
-    // worker cannot be parked while this ring is full (it only parks on
-    // empty rings, and the fence pairing below closes the race), so spin
-    // and yield rather than sleep — but re-wake it defensively anyway in
-    // case it parked between our failed push and now.
+    // Lossless backpressure: sleep until the worker drains this lane. The
+    // worker cannot be asleep with this ring full — the push that filled
+    // it woke the shard — so no wake is owed here. Announcing the wait
+    // before the re-check makes any drain after the check see the bit and
+    // notify; a drain before it is seen by the acquire instead.
     ++lane.blocked;
-    std::size_t spins = 0;
+    bool pushed = false;
     for (;;) {
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (shard.parked.load(std::memory_order_relaxed)) {
-        std::lock_guard<std::mutex> lock(shard.m);
-        shard.parked.store(false, std::memory_order_relaxed);
-        shard.cv.notify_one();
-      }
-      if (lane.faulted.load(std::memory_order_relaxed)) {
-        // The lane died while we waited; its ring is being discarded.
-        ++lane.dropped_producer;
-        return false;
-      }
-      if (lane.ring.try_push(frame, ingest_tick)) break;
-      if (++spins >= 64) std::this_thread::yield();
+      const std::uint32_t seen =
+          lane.drains.fetch_or(Lane::kFeederWaiting,
+                               std::memory_order_acquire) |
+          Lane::kFeederWaiting;
+      // The lane died while we waited; its ring is being discarded.
+      if (lane.faulted.load(std::memory_order_relaxed)) break;
+      if ((pushed = lane.ring.try_push(frame, ingest_tick))) break;
+      lane.drains.wait(seen, std::memory_order_acquire);
+    }
+    lane.drains.fetch_and(~Lane::kFeederWaiting, std::memory_order_relaxed);
+    if (!pushed) {
+      ++lane.dropped_producer;
+      return false;
     }
   }
   lane.high_water =
       std::max(lane.high_water, lane.ring.size() / frame.size());
-
-  // Dekker publish: make the push visible to a parking worker, or see its
-  // parked flag — one of the two is guaranteed (see Shard).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (shard.parked.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(shard.m);
-    shard.parked.store(false, std::memory_order_relaxed);
-    shard.cv.notify_one();
-  }
+  shards_[session % shard_count_]->wake();
   return true;
 }
 
@@ -427,8 +396,8 @@ void MultiSessionHost::pump() { quiesce(); }
 
 void MultiSessionHost::finish() {
   quiesce();
-  // All workers are parked (streaming) or all rings drained (inline), so
-  // the caller owns every lane's consumer side until the next feed().
+  // All workers are asleep, so the caller owns every lane's consumer side
+  // until the next feed().
   for (auto& lane_ptr : lanes_) {
     Lane& lane = *lane_ptr;
     if (lane.retired || lane.faulted.load(std::memory_order_relaxed))
@@ -475,13 +444,9 @@ std::size_t MultiSessionHost::add_session() {
   lanes_.push_back(std::make_unique<Lane>(
       index, bundle_, policy_, config_.ring_frames * channels,
       AF_OBS_TRACE_ENABLED ? channels : 0));
-  if (!shards_.empty()) {
-    Shard& shard = *shards_[index % shard_count_];
-    // The worker is parked (quiesce() above); owned is mutated under its
-    // mutex so the next un-park observes the new lane.
-    std::lock_guard<std::mutex> lock(shard.m);
-    shard.owned.push_back(lanes_.back().get());
-  }
+  // The worker is asleep (quiesce() above); the release store of the next
+  // wake publishes the new lane to it.
+  shards_[index % shard_count_]->owned.push_back(lanes_.back().get());
   return index;
 }
 
@@ -497,11 +462,7 @@ void MultiSessionHost::remove_session(std::size_t i) {
   }
   lane.retired = true;
   lane.session.reset();  // frees the per-stream buffers
-  if (!shards_.empty()) {
-    Shard& shard = *shards_[i % shard_count_];
-    std::lock_guard<std::mutex> lock(shard.m);
-    std::erase(shard.owned, &lane);
-  }
+  std::erase(shards_[i % shard_count_]->owned, &lane);
 }
 
 bool MultiSessionHost::session_retired(std::size_t i) const {
@@ -583,7 +544,7 @@ HealthStats MultiSessionHost::aggregate_health() const {
 ShardTelemetry MultiSessionHost::shard_telemetry(std::size_t shard) const {
   AF_EXPECT(shard < shard_count_, "shard index out of range");
   quiesce();
-  const ShardStats& stats = *shard_stats_[shard];
+  const ShardStats& stats = shards_[shard]->stats;
   ShardTelemetry t;
   t.shard = shard;
   for (const auto& lane : lanes_) {
@@ -693,7 +654,7 @@ obs::MetricsSnapshot MultiSessionHost::aggregate_metrics(
     // over the shard's lanes. Series are shard-index-named, so the merged
     // snapshot stays uniquely keyed.
     for (std::size_t s = 0; s < shard_count_; ++s) {
-      obs::MetricsSnapshot shard_snap = shard_stats_[s]->registry.snapshot();
+      obs::MetricsSnapshot shard_snap = shards_[s]->stats.registry.snapshot();
       for (auto& entry : shard_snap.entries)
         total.entries.push_back(std::move(entry));
       std::size_t shard_high_water = 0;
@@ -716,47 +677,15 @@ std::vector<SessionEvent> MultiSessionHost::run_round_robin(
     std::size_t frames_per_turn) {
   AF_EXPECT(traces.size() == lanes_.size(),
             "round-robin needs exactly one trace per session");
-  AF_EXPECT(frames_per_turn >= 1, "frames_per_turn must be >= 1");
-  const std::size_t channels = bundle_->config().channels;
-  for (const auto& trace : traces)
-    AF_EXPECT(trace.channel_count() == channels,
-              "trace carries " + std::to_string(trace.channel_count()) +
-                  " channels but the host expects " +
-                  std::to_string(channels));
-
-  std::vector<std::size_t> cursor(traces.size(), 0);
-  std::vector<double> frame(channels);
-  bool pending_input = true;
-  while (pending_input) {
-    pending_input = false;
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      const std::size_t total = traces[i].sample_count();
-      const std::size_t take =
-          std::min(frames_per_turn, total - cursor[i]);
-      for (std::size_t f = 0; f < take; ++f) {
-        for (std::size_t c = 0; c < channels; ++c)
-          frame[c] = traces[i].channel(c)[cursor[i] + f];
-        feed(i, frame);
-      }
-      cursor[i] += take;
-      if (cursor[i] < total) pending_input = true;
-    }
-    // No per-turn barrier: shard workers classify concurrently while the
-    // next turn is fed; ring backpressure throttles the fan-out. (Inline
-    // mode drains under feed pressure and in the final finish().)
-  }
+  feed_round_robin(traces, frames_per_turn);
   finish();
   return drain();
 }
 
-std::vector<SessionEvent> MultiSessionHost::run_round_robin_parallel(
+void MultiSessionHost::feed_round_robin(
     const std::vector<sensor::MultiChannelTrace>& traces,
-    std::size_t frames_per_turn) {
-  // Inline mode has one shared drain scratch, so it admits only one feeder.
-  if (workers_.empty()) return run_round_robin(traces, frames_per_turn);
-
-  AF_EXPECT(traces.size() == lanes_.size(),
-            "round-robin needs exactly one trace per session");
+    std::size_t frames_per_turn, std::size_t frames_per_lane) {
+  AF_EXPECT(!traces.empty(), "round-robin needs at least one trace");
   AF_EXPECT(frames_per_turn >= 1, "frames_per_turn must be >= 1");
   const std::size_t channels = bundle_->config().channels;
   for (const auto& trace : traces)
@@ -765,42 +694,34 @@ std::vector<SessionEvent> MultiSessionHost::run_round_robin_parallel(
                   " channels but the host expects " +
                   std::to_string(channels));
 
-  // One producer thread per shard; feeder s owns exactly the lanes of
-  // shard s (index % shard_count_), so every lane keeps a single feeder
-  // and the disjoint-lane concurrent-feed contract holds. Per-lane order
-  // matches run_round_robin() exactly: the same frames_per_turn bursts in
-  // ascending lane order within the feeder's subset.
-  std::vector<std::thread> feeders;
-  feeders.reserve(shard_count_);
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    feeders.emplace_back([this, s, &traces, frames_per_turn, channels] {
-      std::vector<std::size_t> mine;
-      for (std::size_t i = s; i < traces.size(); i += shard_count_)
-        mine.push_back(i);
-      std::vector<std::size_t> cursor(mine.size(), 0);
-      std::vector<double> frame(channels);
-      bool pending_input = !mine.empty();
-      while (pending_input) {
-        pending_input = false;
-        for (std::size_t k = 0; k < mine.size(); ++k) {
-          const std::size_t lane = mine[k];
-          const std::size_t total = traces[lane].sample_count();
-          const std::size_t take =
-              std::min(frames_per_turn, total - cursor[k]);
-          for (std::size_t f = 0; f < take; ++f) {
-            for (std::size_t c = 0; c < channels; ++c)
-              frame[c] = traces[lane].channel(c)[cursor[k] + f];
-            feed(lane, frame);
-          }
-          cursor[k] += take;
-          if (cursor[k] < total) pending_input = true;
+  // Feeder s owns exactly the lanes of shard s, so every lane keeps a
+  // single feeder and the disjoint-lane concurrent-feed contract holds.
+  const std::size_t lanes = lanes_.size();
+  const auto feed_shard = [&](std::size_t s) {
+    std::vector<double> frame(channels);
+    bool pending_input = true;
+    for (std::size_t offset = 0; pending_input; offset += frames_per_turn) {
+      pending_input = false;
+      for (std::size_t i = s; i < lanes; i += shard_count_) {
+        const auto& trace = traces[i % traces.size()];
+        const std::size_t end = std::min(trace.sample_count(), frames_per_lane);
+        if (offset >= end) continue;
+        const std::size_t take = std::min(frames_per_turn, end - offset);
+        for (std::size_t f = offset; f < offset + take; ++f) {
+          for (std::size_t c = 0; c < channels; ++c)
+            frame[c] = trace.channel(c)[f];
+          feed(i, frame);
         }
+        if (offset + take < end) pending_input = true;
       }
-    });
-  }
+    }
+  };
+  std::vector<std::thread> feeders;
+  feeders.reserve(shard_count_ - 1);
+  for (std::size_t s = 1; s < shard_count_; ++s)
+    feeders.emplace_back(feed_shard, s);
+  feed_shard(0);
   for (auto& t : feeders) t.join();  // happens-before the owner resuming
-  finish();
-  return drain();
 }
 
 }  // namespace airfinger::core

@@ -8,24 +8,24 @@
 // bounded SPSC ingest rings (common/spsc_ring.hpp) continuously, so the
 // producer's `feed()` overlaps with parallel classification instead of
 // alternating with it behind a fork/join barrier (the pre-shard design's
-// scaling wall, ROADMAP item 1). `pump()` is an epoch barrier: it returns
-// once every frame fed so far has been processed and all workers are
-// parked, which is when the aggregate views (drain/metrics/health) are
-// coherent.
+// scaling wall, ROADMAP item 1). Every shard count, 1 included, runs this
+// one design: there is no caller-drained mode. `pump()` is an epoch
+// barrier: it returns once every frame fed so far has been processed and
+// all workers are parked, which is when the aggregate views
+// (drain/metrics/health) are coherent.
 //
 // Determinism (DESIGN.md §9/§14): sessions are fully independent and each
 // lane's frames are processed in feed order by exactly one thread, so a
 // lane's emission stream is a pure function of its input — independent of
 // shard count, thread count, ring capacity, and scheduling. drain()
 // defines the total order as (session index, emission order), which no
-// scheduling can perturb. The host is bit-identical across shard counts,
-// including the shardless inline mode (shards == 1: no threads at all,
-// frames drain on the caller).
+// scheduling can perturb. The host is bit-identical across shard counts
+// and to standalone Session replays of each lane.
 //
 // Backpressure & admission (DESIGN.md §14): rings are bounded. When a
 // lane's ring is full, Admission::kBlock (default, lossless) makes feed()
-// wait for the shard worker to make room (in inline mode the caller drains
-// the lane itself), while Admission::kReject makes feed() refuse the frame
+// sleep until the shard worker drains the lane, while
+// Admission::kReject makes feed() refuse the frame
 // and count it — per-lane rejected/blocked/high-water counters surface
 // through aggregate_metrics().
 //
@@ -39,22 +39,22 @@
 // Threading contract: pump(), finish(), drain(), the lifecycle calls, and
 // every read accessor belong to ONE owner thread (the producer). Reads and
 // lifecycle mutations quiesce the shards internally, so they are always
-// coherent. feed() is normally called from that same owner thread; in
-// *threaded* mode (shard_count() >= 2) it may additionally be called from
-// several producer threads concurrently, provided each lane has at most
-// one feeder at a time — feed() touches only that lane's ring/counters
-// plus its shard's park flag, so disjoint-lane feeders never share
-// mutable state. (Inline mode drains on the feeding thread through shared
-// scratch: single feeder only.) The owner-thread calls may resume only
-// after the extra feeders are joined (an external happens-before edge).
-// run_round_robin_parallel() packages this pattern.
+// coherent. feed() is normally called from that same owner thread; at any
+// shard count it may additionally be called from several producer
+// threads concurrently, provided each lane has at most one feeder at a
+// time — feed() touches only that lane's ring/counters plus its shard's
+// sleep word, so disjoint-lane feeders never share mutable state. The
+// owner-thread calls may resume only after the extra feeders are joined
+// (an external happens-before edge). feed_round_robin() packages this
+// pattern.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/spsc_ring.hpp"
@@ -72,8 +72,7 @@ struct SessionEvent {
 /// All fields are scheduling-dependent — they describe how the load was
 /// actually served, so they legitimately vary across machines, runs, and
 /// shard counts (unlike the emission stream, which never does). Counters
-/// are cumulative since construction; in inline mode (one shard, no
-/// workers) the caller thread plays the worker and parks/busy time stay 0.
+/// are cumulative since construction.
 struct ShardTelemetry {
   std::size_t shard = 0;             ///< Shard index.
   std::size_t lanes = 0;             ///< Lanes currently hashed to it.
@@ -83,7 +82,7 @@ struct ShardTelemetry {
   std::uint64_t drain_batches = 0;   ///< Non-empty drain sweeps per lane.
   std::uint64_t idle_passes = 0;     ///< Sweeps that found nothing queued.
   std::uint64_t busy_ns = 0;         ///< Wall time inside draining sweeps.
-  std::uint64_t parked_ns = 0;       ///< Wall time parked on the cv.
+  std::uint64_t parked_ns = 0;       ///< Wall time asleep, waiting for frames.
   double drain_batch_p50 = 0.0;      ///< Median frames per non-empty drain.
   double queue_wait_p50_ns = 0.0;    ///< Median ring residency (ns).
   double queue_wait_p99_ns = 0.0;    ///< Tail ring residency (ns).
@@ -100,17 +99,16 @@ struct ShardTelemetry {
 
 /// What feed() does when a lane's ingest ring is full.
 enum class Admission : std::uint8_t {
-  kBlock = 0,  ///< Lossless: wait for the consumer to make room.
+  kBlock = 0,  ///< Lossless: sleep until the consumer makes room.
   kReject,     ///< Bounded-latency: refuse the frame and count it.
 };
 
 /// Host shape: shard/ring/admission configuration, fixed at construction.
 struct HostConfig {
-  /// Worker shards. 0 resolves to common::current_thread_count() (so
-  /// AF_THREADS / ScopedThreads govern the host like every other parallel
-  /// component); the resolved count is capped at the session count.
-  /// 1 selects inline mode: no worker threads, frames are drained on the
-  /// caller thread — the bit-identical single-thread reference.
+  /// Worker shards, one worker thread each. 0 resolves to
+  /// common::current_thread_count() (so AF_THREADS / ScopedThreads govern
+  /// the host like every other parallel component); the resolved count is
+  /// capped at the session count.
   std::size_t shards = 0;
   /// Per-lane ingest ring capacity in frames (>= 1).
   std::size_t ring_frames = 1024;
@@ -142,7 +140,7 @@ class MultiSessionHost {
   MultiSessionHost& operator=(const MultiSessionHost&) = delete;
 
   std::size_t session_count() const { return lanes_.size(); }
-  /// Worker shards actually running (1 in inline mode).
+  /// Worker shards (and worker threads) actually running.
   std::size_t shard_count() const { return shard_count_; }
   const HostConfig& host_config() const { return config_; }
   const std::shared_ptr<const ModelBundle>& bundle() const {
@@ -161,12 +159,12 @@ class MultiSessionHost {
 
   /// Enqueues one frame (one sample per channel) for stream `session` on
   /// its shard's ingest ring; the shard worker classifies it
-  /// concurrently (inline mode: on the next pump(), or immediately when
-  /// the ring fills under kBlock). Returns true when the frame was
-  /// accepted. False means the frame was refused and counted: the lane is
-  /// faulted (dropped_frames), retired, or its ring was full under
+  /// concurrently. Returns true when the frame was accepted. False means
+  /// the frame was refused and counted: the lane is faulted
+  /// (dropped_frames), retired, or its ring was full under
   /// Admission::kReject (rejected_frames). Under kBlock a full ring blocks
-  /// until the worker makes room instead.
+  /// until the worker makes room instead (or the lane faults, which drops
+  /// the frame).
   bool feed(std::size_t session, std::span<const double> frame);
 
   /// Epoch barrier: returns once every frame fed so far has been fully
@@ -250,35 +248,37 @@ class MultiSessionHost {
   /// Per-shard utilization counters (quiesces first): park/unpark counts,
   /// busy vs parked wall time, drained frame/batch totals with a batch
   /// size median, queue-wait quantiles from the ingest-stamp side-channel,
-  /// and the highest ring occupancy among the shard's lanes. Inline mode
-  /// exposes shard 0 (the caller-thread pseudo-shard). Counters only move
-  /// when tracing is compiled in (AF_OBS_TRACE, DESIGN.md §18); with it
+  /// and the highest ring occupancy among the shard's lanes. Counters
+  /// only move when tracing is compiled in (AF_OBS_TRACE, DESIGN.md §18); with it
   /// off, the shape is served with everything zero.
   ShardTelemetry shard_telemetry(std::size_t shard) const;
 
-  /// Convenience driver: one trace per session, fanned out round-robin —
-  /// each turn feeds up to `frames_per_turn` frames to every stream that
-  /// still has input, emulating interleaved arrival from N concurrent
-  /// wearables; shard workers classify concurrently under ring
-  /// backpressure. Finishes all streams and returns the drained events.
+  /// Convenience driver: one trace per session fed by
+  /// feed_round_robin(), then finishes all streams and returns the
+  /// drained events.
   std::vector<SessionEvent> run_round_robin(
       const std::vector<sensor::MultiChannelTrace>& traces,
       std::size_t frames_per_turn = 64);
 
-  /// run_round_robin() with one producer thread per shard: feeder s
-  /// streams exactly the lanes hashed to shard s (index % shard_count()),
-  /// round-robin within them, so the sweep measures the host instead of a
-  /// single-threaded producer. Per-lane feed order is identical to
-  /// run_round_robin() — the drained events are bit-identical; only the
+  /// The host's feeding loop, emulating interleaved arrival from N
+  /// concurrent wearables: lane i streams the first `frames_per_lane`
+  /// frames (capped at the trace length) of traces[i % traces.size()],
+  /// up to `frames_per_turn` of them per turn. One producer per shard —
+  /// the caller for shard 0, a thread for each other shard — streams
+  /// exactly the lanes hashed to it (index % shard_count()), in ascending
+  /// lane order each turn, while the shard workers classify concurrently
+  /// under ring backpressure. Each lane's frames arrive in trace order at
+  /// any shard count, so the emissions are bit-identical; only the
   /// cross-lane interleaving (which determinism never observes) differs.
-  /// Inline mode (no workers) falls back to the single-feeder loop.
-  std::vector<SessionEvent> run_round_robin_parallel(
+  /// Returns once every feeder is joined; does not pump, finish or drain.
+  void feed_round_robin(
       const std::vector<sensor::MultiChannelTrace>& traces,
-      std::size_t frames_per_turn = 64);
+      std::size_t frames_per_turn = 64,
+      std::size_t frames_per_lane = std::numeric_limits<std::size_t>::max());
 
  private:
-  // Lane field groups are cache-line-separated by ownership: in threaded
-  // mode the shard worker bumps `processed` on every frame while the
+  // Lane field groups are cache-line-separated by ownership: the shard
+  // worker bumps `processed` on every frame while the
   // producer bumps `high_water` on every feed *and* polls `faulted` /
   // `retired` — if those lived on one line, each side's writes would keep
   // evicting the other's hot line (false sharing; measured as the
@@ -297,13 +297,19 @@ class MultiSessionHost {
     common::SpscRing<double> ring;  ///< Frame-aligned ingest queue.
 
     // ---- consumer-side state: owned by the lane's shard worker (or the
-    // caller thread in inline mode / at quiescence).
+    // owner thread at quiescence).
     alignas(64) std::optional<Session> session;
     std::vector<SessionEvent> events;
     Session::EventCallback sink;    ///< Appends to `events`; built once.
     std::uint64_t processed = 0;    ///< Frames classified successfully.
     std::uint64_t dropped_consumer = 0;  ///< Ring discards after fault/retire.
     std::string fault;              ///< what() of the quarantining exception.
+    /// Drain sequence: the worker adds kDrainStep after every drain that
+    /// took frames off the ring (processed or discarded). A feeder blocked
+    /// on the full ring under kBlock sets kFeederWaiting and sleeps on the
+    /// word; only then does a drain pay for a notify.
+    std::atomic<std::uint32_t> drains{0};
+    static constexpr std::uint32_t kFeederWaiting = 1, kDrainStep = 2;
 
     // ---- flags written at fault/retire time, read by the producer on
     // *every* feed() to short-circuit: they get their own (rarely
@@ -324,25 +330,23 @@ class MultiSessionHost {
     obs::MetricsSnapshot final_metrics;
   };
 
-  struct Shard;       // worker state + parking synchronization (in the .cpp)
   struct ShardStats;  // per-shard telemetry registry (in the .cpp)
+  struct Shard;       // worker thread + its sleep word (in the .cpp)
 
   /// Drains up to `max_frames` frames from one lane's ring through its
   /// session (or discards them when the lane is faulted/retired). Returns
-  /// the number of frames consumed. Caller must own the consumer side.
-  /// `stats` (may be null) collects drained-frame/batch counts and the
-  /// queue wait of the batch's oldest frame; a lane fault additionally
-  /// dumps the session's flight recorder before quarantine.
+  /// the number of frames consumed, and wakes a feeder blocked on the
+  /// lane when there was one. Caller must own the consumer side. `stats`
+  /// collects drained-frame/batch counts and the queue wait of the
+  /// batch's oldest frame; a lane fault additionally dumps the session's
+  /// flight recorder before quarantine.
   static std::size_t drain_lane(Lane& lane, std::span<double> frame,
-                                std::size_t max_frames, ShardStats* stats);
+                                std::size_t max_frames, ShardStats& stats);
 
-  void worker_loop(Shard& shard);
+  static void worker_loop(Shard& shard);
   /// The epoch barrier behind pump() and every read accessor: blocks until
-  /// each shard worker is parked with empty rings — or, in inline mode,
-  /// drains every lane's ring on the caller. Either way, on return every
-  /// frame fed so far has been fully processed. Const because the logical
-  /// host state it leaves behind is exactly what the caller already
-  /// requested by feeding; lanes are reached through their own indirection.
+  /// each shard worker is asleep with empty rings, so on return every
+  /// frame fed so far has been fully processed and published.
   void quiesce() const;
   const Lane& lane_at(std::size_t i) const;
 
@@ -351,16 +355,7 @@ class MultiSessionHost {
   std::size_t shard_count_ = 1;
   FaultPolicy policy_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<std::unique_ptr<Shard>> shards_;  ///< Empty in inline mode.
-  /// One telemetry block per shard, always shard_count_ entries (inline
-  /// mode keeps a caller-thread pseudo-shard at index 0). Mutable for the
-  /// same reason as scratch_frame_: quiesce() is logically const but the
-  /// inline drains it performs are accounted here.
-  mutable std::vector<std::unique_ptr<ShardStats>> shard_stats_;
-  std::vector<std::thread> workers_;
-  /// Caller-side drain scratch (mutable: quiesce() is logically const but
-  /// drains inline-mode rings through it).
-  mutable std::vector<double> scratch_frame_;
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< shard_count_ entries.
 };
 
 }  // namespace airfinger::core

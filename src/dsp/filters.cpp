@@ -1,7 +1,6 @@
 #include "dsp/filters.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
@@ -112,18 +111,7 @@ std::vector<std::size_t> find_peaks(std::span<const double> x,
 
 std::size_t count_peaks(std::span<const double> x, std::size_t support) {
   AF_EXPECT(support >= 1, "find_peaks requires support >= 1");
-  // level = -HUGE_VAL admits every peak: a centre that is -inf (or NaN)
-  // can never be strictly above a neighbour, so the >= level test only
-  // ever sees finite peaks it accepts.
-  return simd::kernels().count_peaks_at_least(x.data(), x.size(), support,
-                                              -HUGE_VAL);
-}
-
-std::size_t count_peaks_at_least(std::span<const double> x,
-                                 std::size_t support, double level) {
-  AF_EXPECT(support >= 1, "find_peaks requires support >= 1");
-  return simd::kernels().count_peaks_at_least(x.data(), x.size(), support,
-                                              level);
+  return simd::kernels().count_peaks(x.data(), x.size(), support);
 }
 
 }  // namespace airfinger::dsp

@@ -50,8 +50,4 @@ std::vector<std::size_t> find_peaks(std::span<const double> x,
 /// find_peaks().size() without materializing the index list.
 std::size_t count_peaks(std::span<const double> x, std::size_t support);
 
-/// Number of find_peaks() peaks whose value is >= level.
-std::size_t count_peaks_at_least(std::span<const double> x,
-                                 std::size_t support, double level);
-
 }  // namespace airfinger::dsp

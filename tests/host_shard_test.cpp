@@ -3,23 +3,28 @@
 // Locks in the serving-host contract the 10k-stream bench relies on:
 //
 //   * emissions are bit-identical across shard counts {1, 2, 8}, thread
-//     counts {1, 4} (auto-sharded), and ring capacities — the shardless
-//     inline host is the reference every threaded configuration must
-//     reproduce exactly;
+//     counts {1, 4} (auto-sharded), and ring capacities — standalone
+//     Session replays of each lane are the reference every configuration
+//     must reproduce exactly;
 //   * a mid-trace fault quarantines exactly its own lane at any shard
 //     count, and sibling lanes on the same shard stay bit-identical to
 //     standalone sessions;
 //   * sessions can be added and removed between epochs: indices stay
 //     stable, retired lanes reject feeds and keep contributing their
 //     final health/metrics to the aggregates;
-//   * admission control is exact: under kReject in inline mode the
-//     rejected-frame counters match the injected overflow frame for
-//     frame, and under kBlock nothing is ever lost no matter how small
-//     the rings are.
+//   * admission control is exact: under kReject every refusal is counted
+//     and every acceptance processed, and under kBlock nothing is ever
+//     lost no matter how small the rings are;
+//   * parking never loses a wakeup: thousands of feed-one-then-pump
+//     epochs and concurrent feeders on 1-frame rings with idle gaps keep
+//     the workers parking and waking without a hang (ctest's TIMEOUT
+//     turns a lost wakeup into a failure).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -98,33 +103,31 @@ void expect_hosted_identical(const std::vector<core::SessionEvent>& a,
 
 TEST(HostSharding, EmissionsBitIdenticalAcrossShardCounts) {
   const auto traces = gesture_streams(6);
-  const auto run_with = [&](core::HostConfig config) {
-    core::MultiSessionHost host(trained_bundle(), traces.size(),
-                                trained_bundle()->config().fault_policy,
-                                config);
-    return host.run_round_robin(traces, 53);
-  };
-
-  core::HostConfig reference_config;
-  reference_config.shards = 1;  // inline mode: the reference
-  const auto reference = run_with(reference_config);
-  ASSERT_FALSE(reference.empty());
-
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    core::HostConfig config;
-    config.shards = shards;
-    expect_hosted_identical(reference, run_with(config));
+  // The reference is each lane replayed through its own standalone
+  // Session, in the host's (session index, emission order) total order.
+  std::vector<core::SessionEvent> reference;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    core::Session standalone(trained_bundle());
+    for (const auto& e : standalone.process_trace(traces[i]))
+      reference.push_back(core::SessionEvent{i, e});
   }
+  ASSERT_FALSE(reference.empty());
 
   // Ring capacity is a pure throughput knob: a 2-frame ring forces
   // constant backpressure yet must not perturb a single bit.
-  for (const std::size_t ring : {std::size_t{2}, std::size_t{64}}) {
-    SCOPED_TRACE("ring " + std::to_string(ring));
-    core::HostConfig config;
-    config.shards = 2;
-    config.ring_frames = ring;
-    expect_hosted_identical(reference, run_with(config));
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    for (const std::size_t ring : {std::size_t{2}, std::size_t{64}}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", ring " +
+                   std::to_string(ring));
+      core::HostConfig config;
+      config.shards = shards;
+      config.ring_frames = ring;
+      core::MultiSessionHost host(trained_bundle(), traces.size(),
+                                  trained_bundle()->config().fault_policy,
+                                  config);
+      expect_hosted_identical(reference, host.run_round_robin(traces, 53));
+    }
   }
 }
 
@@ -263,41 +266,147 @@ TEST(HostSharding, AddAndRemoveSessionsBetweenEpochs) {
 // ------------------------------------------------- admission control
 
 TEST(HostSharding, RejectAdmissionCountsOverflowExactly) {
-  // Inline mode makes rejection deterministic: the caller is the only
-  // consumer, so with an 8-frame ring exactly the 9th..Nth un-pumped
-  // feeds overflow — the counters must match the injected overflow
-  // frame for frame.
+  // A live worker races the feeder, so which feeds overflow is scheduling
+  // dependent — but every counter must still reconcile exactly with what
+  // the feeder saw, frame for frame.
   const std::size_t channels = trained_bundle()->config().channels;
-  core::HostConfig config;
-  config.shards = 1;
-  config.ring_frames = 8;
-  config.admission = core::Admission::kReject;
-  core::MultiSessionHost host(trained_bundle(), 1,
-                              trained_bundle()->config().fault_policy,
-                              config);
-
   const std::vector<double> frame(channels, 0.05);
-  std::size_t accepted = 0, rejected = 0;
-  for (std::size_t i = 0; i < 20; ++i)
-    (host.feed(0, frame) ? accepted : rejected) += 1;
-  EXPECT_EQ(accepted, 8u);
-  EXPECT_EQ(rejected, 12u);
-  EXPECT_EQ(host.rejected_frames(0), 12u);
-  EXPECT_EQ(host.ring_high_water(0), 8u);
+  const auto run = [&](std::size_t ring_frames, std::size_t fed_limit,
+                       bool stop_at_refusal) {
+    core::HostConfig config;
+    config.shards = 1;
+    config.ring_frames = ring_frames;
+    config.admission = core::Admission::kReject;
+    core::MultiSessionHost host(trained_bundle(), 1,
+                                trained_bundle()->config().fault_policy,
+                                config);
+    std::size_t fed = 0, accepted = 0, refused = 0;
+    while (fed < fed_limit) {
+      ++fed;
+      if (host.feed(0, frame)) {
+        ++accepted;
+      } else {
+        ++refused;
+        if (stop_at_refusal) break;
+      }
+      // The first ring_frames feeds land in an empty ring: never refused.
+      if (fed == ring_frames) {
+        EXPECT_EQ(refused, 0u);
+      }
+    }
+    EXPECT_EQ(accepted + refused, fed);
+    EXPECT_EQ(host.rejected_frames(0), refused);
+    if (refused != 0) {
+      EXPECT_EQ(host.ring_high_water(0), ring_frames);
+    }
 
-  host.pump();  // drains the 8 accepted frames; ring empties
-  EXPECT_EQ(host.frames_processed(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_TRUE(host.feed(0, frame));
-  EXPECT_FALSE(host.feed(0, frame));
-  EXPECT_EQ(host.rejected_frames(0), 13u);
-  EXPECT_EQ(host.dropped_frames(0), 0u);  // rejected != dropped
+    host.pump();
+    EXPECT_EQ(host.frames_processed(), accepted);
+    EXPECT_EQ(host.dropped_frames(0), 0u);  // rejected != dropped
 
-  // The overflow surfaces in the aggregate view.
-  const obs::MetricsSnapshot metrics = host.aggregate_metrics(true);
-  EXPECT_EQ(metrics.find("af_host_rejected_frames_total")->count, 13u);
-  EXPECT_EQ(metrics.find("af_host_ring_capacity_frames")->value, 8.0);
-  EXPECT_EQ(metrics.find("af_host_ring_high_water_frames")->value, 8.0);
-  EXPECT_EQ(metrics.find("af_host_shards")->value, 1.0);
+    // The overflow surfaces in the aggregate view.
+    const obs::MetricsSnapshot metrics = host.aggregate_metrics(true);
+    EXPECT_EQ(metrics.find("af_host_rejected_frames_total")->count, refused);
+    EXPECT_EQ(metrics.find("af_host_frames_processed_total")->count,
+              accepted);
+    EXPECT_EQ(metrics.find("af_host_dropped_frames_total")->count, 0u);
+    EXPECT_EQ(metrics.find("af_host_ring_capacity_frames")->value,
+              static_cast<double>(ring_frames));
+    EXPECT_EQ(metrics.find("af_host_ring_high_water_frames")->value,
+              static_cast<double>(host.ring_high_water(0)));
+    EXPECT_EQ(metrics.find("af_host_shards")->value, 1.0);
+    return refused;
+  };
+
+  // An 8-frame ring fed 20 frames without pausing: refusals may or may
+  // not happen, the ledger balances either way.
+  run(8, 20, false);
+  // A 1-frame ring under a tight feed loop must refuse eventually: the
+  // worker cannot keep up with back-to-back feeds forever. Bounded, so a
+  // host that never refuses fails instead of hanging.
+  EXPECT_EQ(run(1, 1000000, true), 1u);
+}
+
+// ---------------------------------------------------- lost wakeups
+
+TEST(HostSharding, FeedOneThenPumpNeverLosesAWakeup) {
+  // Every epoch wakes one parked worker with a single frame and waits for
+  // it to park again: a wakeup lost anywhere in that handshake hangs.
+  const std::size_t channels = trained_bundle()->config().channels;
+  const std::vector<double> frame(channels, 0.05);
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    core::HostConfig config;
+    config.shards = shards;
+    core::MultiSessionHost host(trained_bundle(), 8,
+                                trained_bundle()->config().fault_policy,
+                                config);
+    for (std::uint64_t epoch = 0; epoch < 3000; ++epoch) {
+      ASSERT_TRUE(host.feed(epoch % 8, frame));
+      host.pump();
+      ASSERT_EQ(host.frames_processed(), epoch + 1);
+    }
+  }
+}
+
+TEST(HostSharding, ConcurrentBlockedFeedersWithIdleGapsNeverHang) {
+  // Two feeder threads on disjoint lanes (sharing shards at shards=1)
+  // push bursts into 1-frame rings under kBlock, so nearly every feed
+  // sleeps on its lane's drain sequence, and pause between bursts, so the
+  // workers park and wake constantly. Nothing may be lost or reordered.
+  const auto traces = gesture_streams(4);
+  const std::size_t channels = trained_bundle()->config().channels;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    core::HostConfig config;
+    config.shards = shards;
+    config.ring_frames = 1;
+    core::MultiSessionHost host(trained_bundle(), traces.size(),
+                                trained_bundle()->config().fault_policy,
+                                config);
+    const auto feeder = [&](std::size_t first) {
+      std::vector<double> frame(channels);
+      constexpr std::size_t kBurst = 16;
+      for (std::size_t offset = 0;; offset += kBurst) {
+        bool pending = false;
+        for (std::size_t lane = first; lane < traces.size(); lane += 2) {
+          const auto& trace = traces[lane];
+          const std::size_t end =
+              std::min(offset + kBurst, trace.sample_count());
+          for (std::size_t f = offset; f < end; ++f) {
+            for (std::size_t c = 0; c < channels; ++c)
+              frame[c] = trace.channel(c)[f];
+            EXPECT_TRUE(host.feed(lane, frame));
+          }
+          if (end < trace.sample_count()) pending = true;
+        }
+        if (!pending) return;
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    };
+    std::thread other(feeder, 1);
+    feeder(0);
+    other.join();
+    host.finish();
+
+    std::uint64_t fed = 0;
+    for (const auto& trace : traces) fed += trace.sample_count();
+    EXPECT_EQ(host.frames_processed(), fed);
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      EXPECT_EQ(host.dropped_frames(i), 0u);
+      EXPECT_EQ(host.rejected_frames(i), 0u);
+    }
+    std::vector<std::vector<core::GestureEvent>> per_session(traces.size());
+    for (const auto& e : host.drain())
+      per_session[e.session].push_back(e.event);
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      SCOPED_TRACE("stream " + std::to_string(i));
+      core::Session standalone(trained_bundle());
+      expect_events_identical(per_session[i],
+                              standalone.process_trace(traces[i]));
+    }
+  }
 }
 
 TEST(HostSharding, BlockAdmissionIsLosslessUnderTinyRings) {

@@ -4,7 +4,7 @@
 // frames), ModelBundle::probe_direction over the cache — including its
 // change-detection short-circuit — must return exactly what the cacheless
 // overload returns at every prefix, and the multi-producer round-robin
-// driver must drain events bit-identical to the single-feeder inline host.
+// driver must drain events bit-identical to standalone Session replays.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -251,28 +251,29 @@ std::vector<sensor::MultiChannelTrace> gesture_streams(std::size_t count) {
   return traces;
 }
 
-// The multi-producer driver (one feeder thread per shard, the scaling
-// benches' producer shape) must drain events bit-identical to the
-// single-feeder inline host — the disjoint-lane concurrent-feed contract
-// under a real interleaving (and under TSan in the race suite).
-TEST(IncrementalProbe, ParallelFeedersAreBitIdenticalToInlineHost) {
+// The multi-producer driver (one feeder per shard, the scaling benches'
+// producer shape) must drain events bit-identical to standalone Session
+// replays of each lane — the disjoint-lane concurrent-feed contract under
+// a real interleaving (and under TSan in the race suite).
+TEST(IncrementalProbe, ParallelFeedersAreBitIdenticalToStandaloneSessions) {
   const auto& bundle = trained_bundle();
   const auto traces = gesture_streams(6);
 
-  core::HostConfig inline_config;
-  inline_config.shards = 1;
-  core::MultiSessionHost reference_host(bundle, traces.size(),
-                                        bundle->config().fault_policy,
-                                        inline_config);
-  const auto reference = reference_host.run_round_robin(traces, 53);
+  std::vector<core::SessionEvent> reference;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    core::Session standalone(bundle);
+    for (const auto& e : standalone.process_trace(traces[i]))
+      reference.push_back(core::SessionEvent{i, e});
+  }
+  ASSERT_FALSE(reference.empty());
 
-  for (std::size_t shards : {2u, 4u}) {
+  for (std::size_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE(std::to_string(shards) + " shards");
     core::HostConfig config;
     config.shards = shards;
     core::MultiSessionHost host(bundle, traces.size(),
                                 bundle->config().fault_policy, config);
-    const auto hosted = host.run_round_robin_parallel(traces, 53);
+    const auto hosted = host.run_round_robin(traces, 53);
     ASSERT_EQ(hosted.size(), reference.size());
     for (std::size_t e = 0; e < hosted.size(); ++e) {
       SCOPED_TRACE("event " + std::to_string(e));

@@ -276,11 +276,8 @@ TEST(SimdKernels, PeakCountsBitIdenticalAcrossTiers) {
     expect_tiers_match("peaks n=" + std::to_string(n), [&] {
       std::vector<double> counts;
       for (const std::size_t s : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{5}}) {
+                                  std::size_t{5}})
         counts.push_back(static_cast<double>(dsp::count_peaks(x, s)));
-        counts.push_back(static_cast<double>(
-            dsp::count_peaks_at_least(x, s, 0.5)));
-      }
       return counts;
     });
   }

@@ -303,16 +303,16 @@ TEST(TraceGuard, EmissionsAreIdenticalWithTracingOnOrOff) {
 // --------------------------------------------------------------- export
 
 TEST(TraceExport, ChromeJsonIsByteIdenticalAcrossRunsAndShardCounts) {
-  const std::string inline_run = hosted_chrome_trace(4, 1);
-  EXPECT_EQ(inline_run, hosted_chrome_trace(4, 1));  // across runs
-  EXPECT_EQ(inline_run, hosted_chrome_trace(4, 2));  // across shard counts
+  const std::string one_shard = hosted_chrome_trace(4, 1);
+  EXPECT_EQ(one_shard, hosted_chrome_trace(4, 1));  // across runs
+  EXPECT_EQ(one_shard, hosted_chrome_trace(4, 2));  // across shard counts
   // Loadable shape, not just stable bytes. The slices themselves only
   // exist when the trace gate is compiled in; with it off the export is
   // a valid-but-empty envelope.
-  EXPECT_NE(inline_run.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(one_shard.find("\"traceEvents\""), std::string::npos);
 #if AF_OBS_TRACE_ENABLED
-  EXPECT_NE(inline_run.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(inline_run.find("\"name\":\"gesture\""), std::string::npos);
+  EXPECT_NE(one_shard.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(one_shard.find("\"name\":\"gesture\""), std::string::npos);
 #endif
 }
 

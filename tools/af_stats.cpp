@@ -11,8 +11,8 @@
 // deterministic lane order plus the host-level series — is written in the
 // requested exposition format (DESIGN.md §13).
 //
-// The host shape is configurable: --shards picks the worker shard count
-// (0 = auto from AF_THREADS, 1 = shardless inline reference), --ring the
+// The host shape is configurable: --shards picks the worker shard count,
+// one worker thread each (0 = auto from AF_THREADS), --ring the
 // per-lane ingest ring capacity, --admission the full-ring policy
 // (block/reject) — see DESIGN.md §14.
 //
@@ -108,8 +108,8 @@ int run(int argc, char** argv) {
   cli.add_flag("tick-ns", "1000",
                "deterministic clock step per read in ns (0: real clock)");
   cli.add_flag("shards", "0",
-               "worker shards for the host (0: auto from AF_THREADS; "
-               "1: shardless inline reference)");
+               "worker shards for the host, one thread each "
+               "(0: auto from AF_THREADS)");
   cli.add_flag("ring", "1024", "per-lane ingest ring capacity in frames");
   cli.add_flag("admission", "block",
                "full-ring policy: block (lossless) or reject (bounded "

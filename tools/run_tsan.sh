@@ -20,8 +20,9 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 export AF_THREADS="${AF_THREADS:-4}"
 
 "${BUILD}/tests/parallel_test"
-# SPSC ring + sharded host: the release/acquire publish contract and the
-# park/unpark fence handshake are exactly what TSan exists to check.
+# SPSC ring + sharded host: the release/acquire publish contract, the
+# atomic wait/notify parking handshake and the lost-wakeup stress tests
+# are exactly what TSan exists to check.
 "${BUILD}/tests/spsc_ring_test"
 "${BUILD}/tests/host_shard_test"
 # Incremental probe + the multi-producer round-robin driver (one feeder
