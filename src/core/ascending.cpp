@@ -167,43 +167,211 @@ void detail::asymmetry_stats(std::span<const double> e1,
       }
     }
     const double max_w = common::reduce::max_with(w, 0.0);
-    detail::asymmetry_folds(a, w, total_w, max_w, sample_rate_hz, config, out);
+    detail::AsymmetryFolds().run(a, w, total_w, max_w, /*frontier=*/0,
+                                 sample_rate_hz, config, out);
   }
 }
 
-void detail::asymmetry_folds(std::span<const double> a,
-                             std::span<const double> w, double total_w,
-                             double max_w, double sample_rate_hz,
-                             const TimingConfig& config, SegmentTiming& out) {
+namespace {
+
+// Tercile bounds on the cumulative differential weight.
+constexpr double kFirstTercile = 1.0 / 3.0;
+constexpr double kLastTercile = 2.0 / 3.0;
+
+inline void add_to_tercile(std::size_t i, double a, double w,
+                           detail::TercileFold& fold) {
+  fold.aw += a * w;
+  fold.tw += static_cast<double>(i) * w;
+  fold.w += w;
+}
+
+/// True while a sample whose preceding cumulative weight is `cum` still
+/// lies below `bound` (a fraction of `total_w`). cum only grows and a
+/// correctly rounded division by a fixed total is monotone, so along the
+/// window this is true on a prefix and false from there on (a NaN
+/// quotient, once reached, stays NaN): tercile membership is monotone.
+inline bool below(double cum, double total_w, double bound) {
+  return cum / total_w < bound;
+}
+
+// The folds below run on a local copy of their state and store it back
+// once: the state's doubles could alias the input spans, which would
+// otherwise keep every accumulator in memory across iterations.
+
+/// Folds every non-zero-weight sample of [from, to) into `fold`.
+/// Zero-weight samples are exact no-ops on every tercile accumulator
+/// (x += ±0.0 keeps the bits of the non-negative sums these folds build),
+/// so both tercile folds skip them: O(gated samples), same bits.
+void fold_tercile(std::span<const double> a, std::span<const double> w,
+                  std::size_t from, std::size_t to,
+                  detail::TercileFold& fold) {
+  detail::TercileFold f = fold;
+  for (std::size_t i = from; i < to; ++i)
+    if (w[i] != 0.0) add_to_tercile(i, a[i], w[i], f);
+  fold = f;
+}
+
+/// With `fold` the fold of [0, from), folds the non-zero-weight samples
+/// from `from` on while they lie below `bound`; returns the first sample
+/// at or above it (w.size() if none).
+std::size_t fold_tercile_below(std::span<const double> a,
+                               std::span<const double> w, std::size_t from,
+                               double total_w, double bound,
+                               detail::TercileFold& fold) {
+  detail::TercileFold f = fold;
+  std::size_t i = from;
+  for (; i < w.size(); ++i) {
+    if (w[i] == 0.0) continue;
+    if (!below(f.w, total_w, bound)) break;
+    add_to_tercile(i, a[i], w[i], f);
+  }
+  fold = f;
+  return i;
+}
+
+void fold_range(std::span<const double> a, std::span<const double> w,
+                std::size_t from, std::size_t to, double gate,
+                detail::RangeFold& fold) {
+  detail::RangeFold f = fold;
+  for (std::size_t i = from; i < to; ++i) {
+    if (w[i] <= gate) continue;
+    if (!f.started) {
+      f.started = true;
+      f.lo = f.hi = a[i];
+    } else {
+      f.lo = std::min(f.lo, a[i]);
+      f.hi = std::max(f.hi, a[i]);
+    }
+  }
+  fold = f;
+}
+
+void fold_zigzag(std::span<const double> a, std::span<const double> w,
+                 std::size_t from, std::size_t to, double gate,
+                 double hysteresis, detail::ZigzagFold& fold) {
+  detail::ZigzagFold z = fold;
+  for (std::size_t i = from; i < to; ++i) {
+    if (w[i] <= gate) continue;
+    const double v = a[i];
+    if (!z.have_first) {
+      z.have_first = true;
+      z.path_min = z.path_max = v;
+      continue;
+    }
+    if (z.direction == 0) {
+      z.path_min = std::min(z.path_min, v);
+      z.path_max = std::max(z.path_max, v);
+      if (v >= z.path_min + hysteresis) {
+        z.direction = +1;
+        z.extremum = v;
+      } else if (v <= z.path_max - hysteresis) {
+        z.direction = -1;
+        z.extremum = v;
+      }
+    } else if (z.direction > 0) {
+      z.extremum = std::max(z.extremum, v);
+      if (v <= z.extremum - hysteresis) {
+        ++z.reversals;
+        z.direction = -1;
+        z.extremum = v;
+      }
+    } else {
+      z.extremum = std::min(z.extremum, v);
+      if (v >= z.extremum + hysteresis) {
+        ++z.reversals;
+        z.direction = +1;
+        z.extremum = v;
+      }
+    }
+  }
+  fold = z;
+}
+
+}  // namespace
+
+void detail::AsymmetryFolds::reset() {
+  std::vector<TercileFold> checkpoints = std::move(checkpoints_);
+  checkpoints.clear();
+  *this = AsymmetryFolds{};
+  checkpoints_ = std::move(checkpoints);
+}
+
+void detail::AsymmetryFolds::run(std::span<const double> a,
+                                 std::span<const double> w, double total_w,
+                                 double max_w, std::size_t frontier,
+                                 double sample_rate_hz,
+                                 const TimingConfig& config,
+                                 SegmentTiming& out) {
   const std::size_t n = a.size();
+  AF_ASSERT(w.size() == n && frontier <= n && frontier >= frontier_,
+            "asymmetry folds: frontier moved backwards");
+  frontier_ = frontier;
   if (total_w <= 0.0) return;
 
-  double cum = 0.0;
-  double bin_a[3] = {0, 0, 0}, bin_w[3] = {0, 0, 0}, bin_t[3] = {0, 0, 0};
-  for (std::size_t i = 0; i < n; ++i) {
-    // Zero-weight samples are exact no-ops on every accumulator here
-    // (x += ±0.0 keeps the bits of the non-negative sums this loop
-    // builds), so skipping them keeps the fold bit-identical while
-    // making the pass O(gated samples).
-    if (w[i] == 0.0) continue;
-    const double frac = cum / total_w;
-    const std::size_t bin = frac < (1.0 / 3.0) ? 0
-                            : frac < (2.0 / 3.0) ? 1
-                                                 : 2;
-    bin_a[bin] += a[i] * w[i];
-    bin_t[bin] += static_cast<double>(i) * w[i];
-    bin_w[bin] += w[i];
-    cum += w[i];
+  // Folds `saved` (the fold of [begin, saved.end), valid while `same`
+  // holds) up to the frontier and returns it extended over the live tail.
+  const auto resume = [&](auto& saved, bool same, std::size_t begin,
+                          const auto& fold) {
+    if (!same) saved = {{}, begin};
+    fold(saved.end, frontier, saved.state);
+    saved.end = std::max(saved.end, frontier);
+    auto state = saved.state;
+    fold(saved.end, n, state);
+    return state;
+  };
+
+  // Differential-energy terciles. Membership is monotone (see below()),
+  // so the first tercile is a prefix and the last a suffix of the
+  // weighted samples; the middle one is never read.
+  constexpr std::size_t K = kCheckpointEvery;
+  while ((checkpoints_.size() + 1) * K <= frontier) {
+    TercileFold fold = checkpoints_.empty() ? TercileFold{}
+                                            : checkpoints_.back();
+    fold_tercile(a, w, checkpoints_.size() * K, (checkpoints_.size() + 1) * K,
+                 fold);
+    checkpoints_.push_back(fold);
   }
-  if (bin_w[0] > 0.0 && bin_w[2] > 0.0) {
-    out.asymmetry_start = bin_a[0] / bin_w[0];
-    out.asymmetry_end = bin_a[2] / bin_w[2];
+  // The last checkpoint still below `bound` (a true-prefix predicate
+  // over the checkpoints, searched from the last run's answer): every
+  // weighted sample before it lies in the bin, and the scan resumes there.
+  const auto resume_below = [&](double bound, std::size_t& hint,
+                                std::size_t& from, TercileFold& fold) {
+    std::size_t k = std::min(hint, checkpoints_.size());
+    while (k > 0 && !below(checkpoints_[k - 1].w, total_w, bound)) --k;
+    while (k < checkpoints_.size() && below(checkpoints_[k].w, total_w, bound))
+      ++k;
+    hint = k;
+    from = k * K;
+    fold = k == 0 ? TercileFold{} : checkpoints_[k - 1];
+  };
+  std::size_t from = 0;
+  TercileFold first;
+  resume_below(kFirstTercile, first_hint_, from, first);
+  const std::size_t first_end =
+      fold_tercile_below(a, w, from, total_w, kFirstTercile, first);
+  TercileFold middle;
+  resume_below(kLastTercile, last_hint_, from, middle);
+  if (first_end > from) {
+    from = first_end;
+    middle = first;
+  }
+  const std::size_t last_begin =
+      fold_tercile_below(a, w, from, total_w, kLastTercile, middle);
+  const TercileFold last =
+      resume(last_, last_begin == last_begin_, last_begin,
+             [&](std::size_t i, std::size_t to, TercileFold& f) {
+               fold_tercile(a, w, i, to, f);
+             });
+  last_begin_ = last_begin;
+  if (first.w > 0.0 && last.w > 0.0) {
+    out.asymmetry_start = first.aw / first.w;
+    out.asymmetry_end = last.aw / last.w;
     out.asymmetry_delta = out.asymmetry_end - out.asymmetry_start;
     // Transit time: between the weight-centroid times of the first and
     // last terciles, scaled to the full traversal (the terciles span
     // the middle ~2/3 of the differential mass).
-    const double t0 = bin_t[0] / bin_w[0];
-    const double t2 = bin_t[2] / bin_w[2];
+    const double t0 = first.tw / first.w;
+    const double t2 = last.tw / last.w;
     out.transition_s = 1.5 * std::max(0.0, t2 - t0) / sample_rate_hz;
   }
 
@@ -211,63 +379,29 @@ void detail::asymmetry_folds(std::span<const double> a,
   // carrying real differential weight contribute; direction changes
   // must retrace more than the hysteresis to count. A monotone sweep
   // (scroll) has 0 reversals; cyclic gestures (rub, circle) whose A
-  // returns towards its start have >= 1.
+  // returns towards its start have >= 1. Both scans resume from their
+  // frontier state while the thresholds they ran at keep their bits.
   const double gate = max_w * config.gate_fraction;
-  double lo = 0.0, hi = 0.0;
-  bool started = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w[i] <= gate) continue;
-    if (!started) {
-      started = true;
-      lo = hi = a[i];
-    } else {
-      lo = std::min(lo, a[i]);
-      hi = std::max(hi, a[i]);
-    }
-  }
-  out.asymmetry_range = started ? hi - lo : 0.0;
+  const RangeFold range =
+      resume(range_, same_bits(gate, range_gate_), 0,
+             [&](std::size_t i, std::size_t to, RangeFold& f) {
+               fold_range(a, w, i, to, gate, f);
+             });
+  range_gate_ = gate;
+  out.asymmetry_range = range.started ? range.hi - range.lo : 0.0;
+
   const double hysteresis = std::max(
       config.reversal_abs, config.reversal_rel * out.asymmetry_range);
-  // Zigzag scan with hysteresis.
-  int direction = 0;  // +1 rising, -1 falling, 0 undecided
-  double path_min = 0.0, path_max = 0.0, extremum = 0.0;
-  bool have_first = false;
-  std::size_t reversals = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (w[i] <= gate) continue;
-    const double v = a[i];
-    if (!have_first) {
-      have_first = true;
-      path_min = path_max = v;
-      continue;
-    }
-    if (direction == 0) {
-      path_min = std::min(path_min, v);
-      path_max = std::max(path_max, v);
-      if (v >= path_min + hysteresis) {
-        direction = +1;
-        extremum = v;
-      } else if (v <= path_max - hysteresis) {
-        direction = -1;
-        extremum = v;
-      }
-    } else if (direction > 0) {
-      extremum = std::max(extremum, v);
-      if (v <= extremum - hysteresis) {
-        ++reversals;
-        direction = -1;
-        extremum = v;
-      }
-    } else {
-      extremum = std::min(extremum, v);
-      if (v >= extremum + hysteresis) {
-        ++reversals;
-        direction = +1;
-        extremum = v;
-      }
-    }
-  }
-  out.asymmetry_reversals = reversals;
+  const ZigzagFold zigzag = resume(
+      zigzag_,
+      same_bits(gate, zigzag_gate_) &&
+          same_bits(hysteresis, zigzag_hysteresis_),
+      0, [&](std::size_t i, std::size_t to, ZigzagFold& f) {
+        fold_zigzag(a, w, i, to, gate, hysteresis, f);
+      });
+  zigzag_gate_ = gate;
+  zigzag_hysteresis_ = hysteresis;
+  out.asymmetry_reversals = zigzag.reversals;
 }
 
 SegmentTiming segment_timing(std::span<const std::span<const double>> windows,

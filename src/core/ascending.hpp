@@ -8,8 +8,11 @@
 // ascending point (the finger never entered that photodiode's cone).
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "common/arena.hpp"
 #include "common/inline_vector.hpp"
@@ -161,16 +164,96 @@ void asymmetry_stats(std::span<const double> e1, std::span<const double> e3,
                      const TimingConfig& config, common::ScratchArena& arena,
                      SegmentTiming& out);
 
-/// The tercile / transit / range / reversal folds of asymmetry_stats()
-/// over a precomputed asymmetry path `a` and differential-weight sequence
-/// `w`. `total_w` / `max_w` must be the ascending-order fold results over
-/// `w` (sum from 0.0 / max with 0.0). Shared with the incremental
-/// open-segment cache, which stores a/w and resumes the weight folds from
-/// finalized-frontier checkpoints — running the *same* fold code here is
-/// what makes the two paths bit-identical by construction.
-void asymmetry_folds(std::span<const double> a, std::span<const double> w,
-                     double total_w, double max_w, double sample_rate_hz,
-                     const TimingConfig& config, SegmentTiming& out);
+/// Bitwise equality: "every fold downstream reproduces its bits". Value
+/// equality would identify -0.0 with 0.0 and never identify NaN with
+/// itself.
+inline bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// One tercile bin of the asymmetry path: Σw, Σa·w and Σi·w over the
+/// non-zero-weight samples, each folded from 0.0 in ascending sample order.
+/// Folded from sample 0, `w` is also the cumulative weight the tercile
+/// assignment reads.
+struct TercileFold {
+  double w = 0.0;
+  double aw = 0.0;
+  double tw = 0.0;
+};
+
+/// Reversal count over the gated asymmetry path: a zigzag scan whose
+/// direction changes must retrace the hysteresis to count.
+struct ZigzagFold {
+  int direction = 0;  ///< +1 rising, -1 falling, 0 undecided.
+  double path_min = 0.0, path_max = 0.0, extremum = 0.0;
+  bool have_first = false;
+  std::size_t reversals = 0;
+};
+
+/// Range of the gated asymmetry path (min/max of a where w > gate).
+struct RangeFold {
+  bool started = false;
+  double lo = 0.0, hi = 0.0;
+};
+
+/// A left-to-right fold of the samples [begin, end) that can no longer
+/// change, resumed at the next frontier.
+template <class State>
+struct FrontierFold {
+  State state{};
+  std::size_t end = 0;
+};
+
+/// The tercile / transit / range / reversal folds of asymmetry_stats() over
+/// a precomputed asymmetry path `a` and differential-weight sequence `w`,
+/// as one left-to-right fold whose state can be checkpointed.
+///
+/// run() with a default-constructed state and `frontier` 0 is the batch
+/// analysis. The open-segment cache (timing_cache.hpp) keeps one instance
+/// per segment and passes its finalized frontier: samples left of it never
+/// change again, so run() keeps
+///  - sparse checkpoints of the tercile fold (every kCheckpointEvery
+///    samples), from which the first tercile's end and the last tercile's
+///    start are found by re-folding a short distance;
+///  - the last tercile's fold up to the frontier, resumed while its first
+///    sample stays the same (re-summed from that sample when it moves,
+///    never differenced — DESIGN.md §16);
+///  - the range and zigzag fold states at the frontier, resumed while the
+///    gate (and, for the zigzag, the hysteresis) keeps its bits.
+/// Every path runs the same step code, so resumed and batch results are
+/// the same bits.
+class AsymmetryFolds {
+ public:
+  static constexpr std::size_t kCheckpointEvery = 8;
+
+  /// Forgets every checkpoint (keeps capacity): required whenever a sample
+  /// left of a previous frontier changed.
+  void reset();
+
+  /// Fills the asymmetry fields of `out`. `total_w` / `max_w` must be the
+  /// ascending-order fold results over `w` (sum from 0.0 / max with 0.0);
+  /// a[0, frontier) and w[0, frontier) must be what earlier runs since the
+  /// last reset() saw, and `frontier` may not decrease between them.
+  void run(std::span<const double> a, std::span<const double> w,
+           double total_w, double max_w, std::size_t frontier,
+           double sample_rate_hz, const TimingConfig& config,
+           SegmentTiming& out);
+
+ private:
+  std::size_t frontier_ = 0;  ///< The last run's frontier.
+  /// checkpoints_[k] is the tercile fold of [0, (k+1)·kCheckpointEvery).
+  std::vector<TercileFold> checkpoints_;
+  /// Checkpoints below the first / last tercile bound at the last run
+  /// (where the next search starts).
+  std::size_t first_hint_ = 0, last_hint_ = 0;
+  FrontierFold<TercileFold> last_;  ///< The last tercile from...
+  std::size_t last_begin_ = 0;      ///< ...this sample on.
+  FrontierFold<RangeFold> range_;   ///< The range of [0, end)...
+  double range_gate_ = 0.0;         ///< ...at this gate.
+  FrontierFold<ZigzagFold> zigzag_;  ///< The zigzag scan of [0, end)...
+  double zigzag_gate_ = 0.0;         ///< ...at this gate
+  double zigzag_hysteresis_ = 0.0;   ///< and hysteresis.
+};
 }  // namespace detail
 
 }  // namespace airfinger::core

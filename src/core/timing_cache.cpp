@@ -1,28 +1,14 @@
 #include "core/timing_cache.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <functional>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
-#include "dsp/filters.hpp"
 
 namespace airfinger::core {
 
-namespace {
-
-/// Bitwise equality — the change detector's notion of "same value". Value
-/// equality would identify -0.0 with 0.0 and never identify NaN with
-/// itself; bit equality is exactly "every downstream fold reproduces its
-/// bits".
-inline bool same_bits(double x, double y) {
-  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
-}
-
-}  // namespace
+using detail::same_bits;
 
 void StreamingQuantile::reset(double q) {
   AF_EXPECT(q >= 0.0 && q <= 1.0, "quantile q must lie in [0,1]");
@@ -91,10 +77,17 @@ void OpenSegmentTiming::configure(std::size_t channels,
   channel_count_ = channels;
   sample_rate_hz_ = sample_rate_hz;
   config_ = config;
-  a_smooth_ = std::max<std::size_t>(
+  const auto a_smooth = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::lround(config.asymmetry_smooth_s * sample_rate_hz)));
+  half_ = a_smooth / 2;
+  // Room for the 2h+1 open sums plus slack, so the buffer is compacted
+  // only once every kSumsSlack samples.
+  constexpr std::size_t kSumsSlack = 64;
+  const std::size_t capacity = 2 * half_ + 1 + kSumsSlack;
   channels_.resize(channel_count_);
+  for (auto& ch : channels_) ch.sums.assign(capacity, 0.0);
+  counts_.assign(capacity, 0.0);
   begin_segment();
 }
 
@@ -103,7 +96,6 @@ void OpenSegmentTiming::begin_segment() {
   for (auto& ch : channels_) {
     ch.peak = 0.0;
     ch.floor.reset(config_.ascending.floor_quantile);
-    ch.smooth.clear();
     ch.rise_level = 0.0;
     ch.rise_valid = false;
     ch.onset_found = false;
@@ -111,6 +103,10 @@ void OpenSegmentTiming::begin_segment() {
     ch.run = 0;
     ch.active = false;
   }
+  smoothed_ = 0;
+  sums_base_ = 0;
+  stored_ = 0;
+  diff_.clear();
   esum_.clear();
   a_.clear();
   w_.clear();
@@ -120,9 +116,8 @@ void OpenSegmentTiming::begin_segment() {
   max_w_ckpt_ = 0.0;
   last_esum_peak_ = 0.0;
   have_esum_peak_ = false;
-  asym_start_ = asym_end_ = asym_delta_ = 0.0;
-  asym_transition_s_ = asym_range_ = 0.0;
-  asym_reversals_ = 0;
+  folds_.reset();
+  asymmetry_ = SegmentTiming{};
   have_refresh_ = false;
   last_refresh_n_ = 0;
   last_changed_ = true;
@@ -141,19 +136,79 @@ void OpenSegmentTiming::append(std::span<const double> deltas) {
   ++n_;
 }
 
-void OpenSegmentTiming::advance_moving_average(std::span<const double> x,
-                                               std::size_t w,
-                                               std::vector<double>& out) {
-  // An entry i of moving_average(x, w) reads x[max(0, i-half) .. i+half];
-  // at a previous length m it was final iff i + half + 1 <= m. Recompute
-  // only the trailing entries the grow invalidated, through the same
-  // SIMD moving_average_range kernel moving_average_into uses, so each
-  // revised entry is bit-identical to a full pass.
-  const std::size_t half = w / 2;
-  const std::size_t m = out.size();
-  const std::size_t revise = m > half ? m - half : 0;
-  out.resize(x.size());
-  dsp::moving_average_range_into(x, w, revise, out);
+void OpenSegmentTiming::smooth(
+    std::span<const std::span<const double>> windows) {
+  // Output i of moving_average(x, w) is (0.0 + x[lo] + … + x[hi−1]) /
+  // (hi − lo) with lo = max(0, i−h), hi = min(i+h+1, n): sample m belongs
+  // to outputs [m−h, m+h]. The output whose window opens at m (every
+  // output in [0, h] when m = 0) starts its sum at 0.0 first, so each sum
+  // performs the batch kernel's additions in its order — the same bits
+  // under every SIMD tier, whose lanes run that scalar order. Each output
+  // owns its accumulator, so the per-sample loop vectorizes freely.
+  const std::size_t capacity = counts_.size();
+  for (std::size_t m = smoothed_; m < n_; ++m) {
+    const std::size_t first = m > half_ ? m - half_ : 0;
+    const std::size_t last = m + half_;
+    if (last - sums_base_ >= capacity) {
+      // Outputs below m − h are final: store them, then slide the open
+      // sums [m−h, m+h) to the front of the buffer.
+      smoothed_ = m;
+      store_smoothed(stored_, first);
+      stored_ = first;
+      for (auto& ch : channels_)
+        std::copy(ch.sums.begin() +
+                      static_cast<std::ptrdiff_t>(first - sums_base_),
+                  ch.sums.begin() +
+                      static_cast<std::ptrdiff_t>(last - sums_base_),
+                  ch.sums.begin());
+      sums_base_ = first;
+    }
+    for (std::size_t c = 0; c < channel_count_; ++c) {
+      double* sums = channels_[c].sums.data();
+      if (m == 0) {
+        std::fill(sums, sums + half_ + 1, 0.0);
+      } else {
+        sums[last - sums_base_] = 0.0;
+      }
+      const double x = windows[c][m];
+      for (std::size_t j = first - sums_base_; j <= last - sums_base_; ++j)
+        sums[j] += x;
+    }
+  }
+  smoothed_ = n_;
+}
+
+void OpenSegmentTiming::store_smoothed(std::size_t from, std::size_t to) {
+  if (from >= to) return;
+  const std::size_t len = to - from;
+  // Output counts hi − lo, formed once per call (exact in double).
+  for (std::size_t k = 0; k < len; ++k) {
+    const std::size_t i = from + k;
+    const std::size_t lo = i >= half_ ? i - half_ : 0;
+    counts_[k] = static_cast<double>(std::min(i + half_ + 1, smoothed_) - lo);
+  }
+  // The batch esum accumulates the smoothed channels in channel order
+  // into a zeroed array; its outer terms are the same e_first / e_last.
+  const double* count = counts_.data();
+  double* esum = esum_.data() + from;
+  double* diff = diff_.data() + from;
+  const std::size_t offset = from - sums_base_;
+  const double* s = channels_.front().sums.data() + offset;
+  for (std::size_t k = 0; k < len; ++k) {
+    const double e = s[k] / count[k];
+    esum[k] = 0.0 + e;
+    diff[k] = e;
+  }
+  for (std::size_t c = 1; c + 1 < channel_count_; ++c) {
+    s = channels_[c].sums.data() + offset;
+    for (std::size_t k = 0; k < len; ++k) esum[k] += s[k] / count[k];
+  }
+  s = channels_.back().sums.data() + offset;
+  for (std::size_t k = 0; k < len; ++k) {
+    const double e = s[k] / count[k];
+    esum[k] += e;
+    diff[k] = e - diff[k];
+  }
 }
 
 bool OpenSegmentTiming::refresh(
@@ -173,23 +228,19 @@ bool OpenSegmentTiming::refresh(
   // regime switches the asymmetry analysis on — decision-relevant.
   bool changed = !have_refresh_ || (n_ >= 8) != (last_refresh_n_ >= 8);
 
-  // Advance the lazy moving-average caches lane by lane — each channel
-  // tail goes through the SIMD moving_average_range kernel back to
-  // back — then rebuild the invalidated tail of the summed smoothed
-  // energy with the accumulate kernel (same channel-order additions as
-  // the batch path's esum build).
-  const std::size_t prev = channels_.front().smooth.size();
-  for (std::size_t c = 0; c < channel_count_; ++c)
-    advance_moving_average(windows[c], a_smooth_, channels_[c].smooth);
-  const std::size_t half_a = a_smooth_ / 2;
-  const std::size_t revise = prev > half_a ? prev - half_a : 0;
+  // Feed the samples appended since the last refresh to the running
+  // moving-average sums, then store every output not yet final: the ones
+  // whose window closed since, and the still-open trailing h at the
+  // current length. Entries from `revise` on may differ from the last
+  // refresh's.
+  const std::size_t prev = smoothed_;
+  diff_.resize(n_);
   esum_.resize(n_);
-  std::fill(esum_.begin() + static_cast<std::ptrdiff_t>(revise), esum_.end(),
-            0.0);
-  for (std::size_t c = 0; c < channel_count_; ++c)
-    simd::kernels().accumulate(esum_.data() + revise,
-                               channels_[c].smooth.data() + revise,
-                               n_ - revise);
+  smooth(windows);
+  const std::size_t frontier = n_ > half_ ? n_ - half_ : 0;
+  store_smoothed(stored_, n_);
+  stored_ = frontier;
+  const std::size_t revise = prev > half_ ? prev - half_ : 0;
 
   // ---- active-channel set via memoized ascending-point scans ----------
   double strongest = 0.0;
@@ -206,10 +257,17 @@ bool OpenSegmentTiming::refresh(
       const double rise =
           floor + config_.ascending.rise_fraction * (ch.peak - floor);
       if (!(ch.rise_valid && same_bits(rise, ch.rise_level))) {
+        // A higher level only shortens runs: no run starting before the
+        // last scan's final run (the confirmed one, or the unfinished
+        // trailing one) can be confirmed, and none of them reaches into
+        // it, so the scan restarts there with an empty run. A lower
+        // level can confirm earlier runs: rescan from the start.
+        const std::size_t restart =
+            ch.rise_valid && rise > ch.rise_level ? ch.scanned - ch.run : 0;
         ch.rise_valid = true;
         ch.rise_level = rise;
         ch.onset_found = false;
-        ch.scanned = 0;
+        ch.scanned = restart;
         ch.run = 0;
       }
       // detail::ascending_onset()'s scan, resumable: the raw window is
@@ -240,7 +298,6 @@ bool OpenSegmentTiming::refresh(
   // ---- asymmetry path tail + change detection -------------------------
   // Summed-energy peak: resume the max fold from the finalized-frontier
   // checkpoint (entries left of the frontier can never be revised again).
-  const std::size_t frontier = n_ > half_a ? n_ - half_a : 0;
   double m = esum_peak_ckpt_;
   for (std::size_t i = aw_frontier_; i < frontier; ++i)
     if (esum_[i] > m) m = esum_[i];
@@ -261,12 +318,9 @@ bool OpenSegmentTiming::refresh(
   if (rebuild) changed = true;
   a_.resize(n_);
   w_.resize(n_);
-  const std::span<const double> e1{channels_.front().smooth};
-  const std::span<const double> e3{channels_.back().smooth};
-  const std::span<const double> esum{esum_};
   for (std::size_t i = from; i < n_; ++i) {
-    const double na = (e3[i] - e1[i]) / (esum[i] + eps);
-    const double nw = esum[i] > energy_gate ? std::fabs(e3[i] - e1[i]) : 0.0;
+    const double na = diff_[i] / (esum_[i] + eps);
+    const double nw = esum_[i] > energy_gate ? std::fabs(diff_[i]) : 0.0;
     if (!changed) {
       // A revised or appended sample moves the router's asymmetry
       // statistics only if it carries weight the folds can see: a
@@ -316,22 +370,14 @@ bool OpenSegmentTiming::refresh(
   // Re-derive the asymmetry outputs only when an input bit moved; on
   // quiescent frames (the decay tail of every gesture, where appended
   // samples fall below the energy gate) the cached figures are provably
-  // the ones a full recomputation would produce.
+  // the ones a full recomputation would produce. A rebuild revised
+  // entries left of the frontier, which voids every fold checkpoint.
+  if (rebuild) folds_.reset();
   if (changed) {
-    asym_start_ = asym_end_ = asym_delta_ = 0.0;
-    asym_transition_s_ = asym_range_ = 0.0;
-    asym_reversals_ = 0;
-    if (n_ >= 8) {
-      SegmentTiming folds;
-      detail::asymmetry_folds(a_, w_, total_w, max_w, sample_rate_hz_,
-                              config_, folds);
-      asym_start_ = folds.asymmetry_start;
-      asym_end_ = folds.asymmetry_end;
-      asym_delta_ = folds.asymmetry_delta;
-      asym_transition_s_ = folds.transition_s;
-      asym_range_ = folds.asymmetry_range;
-      asym_reversals_ = folds.asymmetry_reversals;
-    }
+    asymmetry_ = SegmentTiming{};
+    if (n_ >= 8)
+      folds_.run(a_, w_, total_w, max_w, frontier, sample_rate_hz_, config_,
+                 asymmetry_);
   }
 
   have_refresh_ = true;
@@ -341,25 +387,15 @@ bool OpenSegmentTiming::refresh(
 }
 
 SegmentTiming OpenSegmentTiming::timing(
-    std::span<const std::span<const double>> windows,
-    common::ScratchArena& arena) {
-  (void)arena;  // Scratch now lives in the cache; kept for API stability.
+    std::span<const std::span<const double>> windows) {
   refresh(windows);
 
-  SegmentTiming out;
+  SegmentTiming out = asymmetry_;
   out.active.resize(channel_count_, false);
   for (std::size_t c = 0; c < channel_count_; ++c) {
     out.active[c] = channels_[c].active;
     if (out.active[c] && out.first_active < 0)
       out.first_active = static_cast<int>(c);
-  }
-  if (n_ >= 8) {
-    out.asymmetry_start = asym_start_;
-    out.asymmetry_end = asym_end_;
-    out.asymmetry_delta = asym_delta_;
-    out.transition_s = asym_transition_s_;
-    out.asymmetry_range = asym_range_;
-    out.asymmetry_reversals = asym_reversals_;
   }
   return out;
 }

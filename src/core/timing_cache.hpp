@@ -3,28 +3,50 @@
 // While a gesture is open, the early-direction probe needs the router's
 // and ZEBRA's inputs — the active-channel set and the asymmetry figures —
 // over the whole open window on every frame. Recomputing segment_timing()
-// each time is an O(n·w) cost (dominated by the brute moving averages and
-// the quantile selection) that grows with the window and is paid ~100×/s.
-// OpenSegmentTiming turns that into amortized O(log n)–O(w) work per frame
-// by exploiting that the window only ever *grows at the right edge*:
+// each time is an O(n·w) cost (moving averages, quantile selection, the
+// asymmetry folds) that grows with the window and is paid ~100×/s.
+// OpenSegmentTiming turns that into work proportional to the new frame,
+// exploiting that the window only ever *grows at the right edge*:
 //
 //  - per-channel peaks are running left-to-right max folds — appending
 //    one sample extends the identical fold;
 //  - the noise-floor quantile reads the tops of two heaps
 //    (StreamingQuantile), which take each sample in O(log n);
-//  - a length-w moving average only changes for outputs whose window
-//    touches the new sample — the trailing half-window — so the caches
-//    recompute just those entries, with the same brute per-output loop
-//    moving_average_into() uses. Everything *left* of that half-window is
-//    final forever, which makes every left-to-right fold over a smoothed
-//    array resumable: the fold state is checkpointed at the finalized
-//    frontier and only the live tail is re-folded per frame;
-//  - the asymmetry path a(t) and differential weights w(t) are stored and
-//    only their live tail recomputed (full rebuild when the global
-//    esum-peak — and with it ε and the energy gate — changes bits);
+//  - a centred moving average of half-width h keeps one running sum per
+//    output whose window is still open (2h+1 of them per channel). A new
+//    sample is added to each — the same additions, in the same order, as
+//    the batch kernel's per-output loop — and an output is final once its
+//    window closes, h samples later. Everything left of that finalized
+//    frontier never changes again;
+//  - the smoothed outer-channel difference, the summed energy, the
+//    asymmetry path a(t) and the weights w(t) are stored; only their live
+//    tail (h samples) is recomputed per frame (all of a/w when the
+//    summed-energy peak — and with it ε and the energy gate — changes
+//    bits). The esum-peak, total-weight and max-weight folds resume from
+//    frontier checkpoints;
+//  - the asymmetry folds (detail::AsymmetryFolds) find the tercile bounds
+//    from sparse checkpoints, resume the last tercile's sums while its
+//    first sample stays put (re-summing them from the new first sample
+//    when it moves, never differencing), and resume the range and
+//    reversal scans from the frontier while the gate and hysteresis keep
+//    their bits;
 //  - ascending-point scans early-exit at the first confirmed run and are
 //    resumed from the last scanned sample while the rise level's bits are
-//    unchanged (raw windows are grow-only, so a found onset never moves).
+//    unchanged (raw windows are grow-only, so a found onset never moves);
+//    a higher level restarts the scan at the last run it saw.
+//
+// Cost model per refreshed frame, with C channels and moving-average
+// half-width h: O(C·h) to smooth the new sample and restate the h open
+// outputs; O(h) for the a/w tail and the esum-peak / weight folds; and,
+// on frames whose router inputs changed, the asymmetry folds: a short
+// checkpoint walk plus at most one checkpoint interval (8 samples) and
+// the live tail per tercile bound, and O(h) for each resumed fold. O(n)
+// work remains only for a re-summed last tercile (its first sample
+// moved), for range and zigzag re-folds (the gate or the hysteresis
+// moved) and for the full a/w rebuild (the esum peak moved). append()
+// stays O(C·log n): the running max and the floor heaps. Per-sample
+// state is four doubles (difference, summed energy, a, w) plus the floor
+// heaps; the tercile checkpoints add three doubles every 8 samples.
 //
 // refresh() additionally *detects change*: it reports whether any
 // decision-relevant statistic (the active-channel set and the asymmetry
@@ -33,7 +55,7 @@
 // every gesture — leave all of them bit-identical, so the probe can prove
 // "same verdict as last frame" without re-deriving it (DESIGN.md §16).
 //
-// Every derived scalar runs through the same detail:: helpers as
+// Every derived scalar runs through the same arithmetic as
 // segment_timing(), so the result is bit-identical to the batch analysis
 // of the same window — locked in by timing_cache and probe tests.
 #pragma once
@@ -101,9 +123,8 @@ class OpenSegmentTiming {
   /// Timing analysis of the full appended window; `windows[c]` must be
   /// channel c's ΔRSS² over exactly the appended samples (the open-segment
   /// view the deltas came from). Bit-identical to
-  /// segment_timing(windows, sample_rate_hz, config, arena).
-  SegmentTiming timing(std::span<const std::span<const double>> windows,
-                       common::ScratchArena& arena);
+  /// segment_timing(windows, sample_rate_hz, config).
+  SegmentTiming timing(std::span<const std::span<const double>> windows);
 
   /// Verdict memo for the early-direction probe: true iff the last probe
   /// over this segment concluded "no emission" (detect-aimed). Combined
@@ -113,15 +134,19 @@ class OpenSegmentTiming {
   void record_probe_verdict_no_emit(bool no_emit) { probe_no_emit_ = no_emit; }
 
  private:
-  /// Recomputes the entries of `out` (a moving average of `x` with width
-  /// `w`) that a grow from out.size() to x.size() invalidated.
-  static void advance_moving_average(std::span<const double> x, std::size_t w,
-                                     std::vector<double>& out);
+  /// Adds samples [smoothed_, n_) of every channel to the running
+  /// moving-average sums of the outputs whose window holds them.
+  void smooth(std::span<const std::span<const double>> windows);
+  /// Stores outputs [from, to)'s smoothed difference and summed energy
+  /// from the running sums over the first smoothed_ samples.
+  void store_smoothed(std::size_t from, std::size_t to);
 
   struct Channel {
     double peak = 0.0;        ///< Running max of the window.
     StreamingQuantile floor;  ///< Window values (noise-floor quantile).
-    std::vector<double> smooth;  ///< MA(window, a_smooth), lazily advanced.
+    /// Running moving-average sums: sums[i − sums_base_] holds output i's
+    /// 0.0 + x[lo] + … over the samples smoothed so far.
+    std::vector<double> sums;
     // Ascending-point scan memo. Raw windows are grow-only, so while the
     // rise level keeps its bits a scan can resume where the last one
     // stopped (and a found onset is final — the *first* confirmed run
@@ -137,25 +162,30 @@ class OpenSegmentTiming {
   std::size_t channel_count_ = 0;
   double sample_rate_hz_ = 0.0;
   TimingConfig config_{};
-  std::size_t a_smooth_ = 1;    ///< Asymmetry moving-average width, samples.
+  std::size_t half_ = 0;  ///< Asymmetry moving-average half-width.
   std::size_t n_ = 0;
   std::vector<Channel> channels_;
-  std::vector<double> esum_;          ///< Σ_c channels_[c].smooth.
 
-  // ---- asymmetry-path state (a_smooth_ finalized frontier) -------------
-  std::vector<double> a_;  ///< (e3−e1)/(esum+ε) over the window.
-  std::vector<double> w_;  ///< Energy-gated |e3−e1| over the window.
-  std::size_t aw_frontier_ = 0;   ///< Entries < frontier are final.
+  // ---- smoothed energies (entries < smoothed_ − half_ are final) -------
+  std::size_t smoothed_ = 0;   ///< Samples added to the running sums.
+  std::size_t sums_base_ = 0;  ///< Output held at Channel::sums[0].
+  std::size_t stored_ = 0;     ///< Outputs < stored_ hold final values.
+  std::vector<double> counts_;  ///< store_smoothed() scratch.
+  std::vector<double> diff_;   ///< Smoothed last − first channel.
+  std::vector<double> esum_;   ///< Σ_c smoothed channel c.
+
+  // ---- asymmetry-path state (entries < aw_frontier_ are final) ----------
+  std::vector<double> a_;  ///< diff/(esum+ε) over the window.
+  std::vector<double> w_;  ///< Energy-gated |diff| over the window.
+  std::size_t aw_frontier_ = 0;
   double esum_peak_ckpt_ = 0.0;   ///< max fold of esum_[0, frontier) from 0.
   double total_w_ckpt_ = 0.0;     ///< sum fold of w_[0, frontier) from 0.
   double max_w_ckpt_ = 0.0;       ///< max fold of w_[0, frontier) from 0.
   double last_esum_peak_ = 0.0;   ///< ε / energy gate derive from this.
   bool have_esum_peak_ = false;
-  // Cached asymmetry outputs (detail::asymmetry_folds of the last refresh
-  // that saw a change).
-  double asym_start_ = 0.0, asym_end_ = 0.0, asym_delta_ = 0.0;
-  double asym_transition_s_ = 0.0, asym_range_ = 0.0;
-  std::size_t asym_reversals_ = 0;
+  detail::AsymmetryFolds folds_;  ///< Checkpointed folds over a_/w_.
+  /// Asymmetry figures of the last refresh that saw a change.
+  SegmentTiming asymmetry_;
 
   // ---- refresh bookkeeping --------------------------------------------
   bool have_refresh_ = false;       ///< A refresh ran this segment.

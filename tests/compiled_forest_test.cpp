@@ -1,8 +1,7 @@
 // Locks the bit-identity invariants of the inference hot path (DESIGN.md
 // §11): the compiled SoA forest must predict exactly what the reference
-// tree walk predicts, a reused extraction workspace must change nothing,
-// and the incremental open-segment timing cache must reproduce the batch
-// analysis bit for bit.
+// tree walk predicts, and a reused extraction workspace must change
+// nothing.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -10,9 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/stats.hpp"
-#include "core/ascending.hpp"
-#include "core/timing_cache.hpp"
 #include "features/bank.hpp"
 #include "ml/compiled_forest.hpp"
 #include "ml/random_forest.hpp"
@@ -133,157 +129,6 @@ TEST(WorkspaceReuse, RepeatedExtractIntoMatchesFreshExtract) {
     bank.extract_into(span_windows, workspace, out);
     for (std::size_t i = 0; i < fresh.size(); ++i)
       expect_bits(fresh[i], out[i], bank.names()[i].c_str());
-  }
-}
-
-void expect_timing_equal(const core::SegmentTiming& a,
-                         const core::SegmentTiming& b, std::size_t n) {
-  SCOPED_TRACE("window length " + std::to_string(n));
-  ASSERT_EQ(a.active.size(), b.active.size());
-  for (std::size_t c = 0; c < a.active.size(); ++c)
-    EXPECT_EQ(a.active[c], b.active[c]);
-  EXPECT_EQ(a.first_active, b.first_active);
-  expect_bits(a.asymmetry_start, b.asymmetry_start, "asymmetry_start");
-  expect_bits(a.asymmetry_end, b.asymmetry_end, "asymmetry_end");
-  expect_bits(a.asymmetry_delta, b.asymmetry_delta, "asymmetry_delta");
-  expect_bits(a.transition_s, b.transition_s, "transition_s");
-  expect_bits(a.asymmetry_range, b.asymmetry_range, "asymmetry_range");
-  EXPECT_EQ(a.asymmetry_reversals, b.asymmetry_reversals);
-}
-
-// The incremental open-segment cache must reproduce the batch
-// segment_timing() bit for bit at every prefix length, across several
-// signal shapes (sequential humps like a scroll, overlapping humps like a
-// click, and plain noise).
-TEST(OpenSegmentTiming, IncrementalMatchesBatchAtEveryLength) {
-  constexpr std::size_t kChannels = 3;
-  constexpr double kRate = 100.0;
-  const core::TimingConfig config;
-
-  std::mt19937_64 rng(31337);
-  std::uniform_real_distribution<double> noise(0.0, 0.35);
-  for (int shape = 0; shape < 3; ++shape) {
-    const std::size_t total = 140 + static_cast<std::size_t>(shape) * 23;
-    std::vector<std::vector<double>> channels(kChannels,
-                                              std::vector<double>(total));
-    for (std::size_t c = 0; c < kChannels; ++c) {
-      const double centre =
-          shape == 0 ? (0.25 + 0.25 * static_cast<double>(c)) *
-                           static_cast<double>(total)  // sequential (scroll)
-          : shape == 1 ? 0.5 * static_cast<double>(total)  // common (click)
-                       : -100.0;                           // noise only
-      for (std::size_t i = 0; i < total; ++i) {
-        const double d = (static_cast<double>(i) - centre) / 9.0;
-        channels[c][i] = 40.0 * std::exp(-0.5 * d * d) + noise(rng);
-      }
-    }
-
-    core::OpenSegmentTiming cache;
-    cache.configure(kChannels, kRate, config);
-    cache.begin_segment();
-    common::ScratchArena cache_arena;
-    common::ScratchArena batch_arena;
-    double frame[kChannels];
-    std::vector<std::span<const double>> windows(kChannels);
-    for (std::size_t n = 1; n <= total; ++n) {
-      for (std::size_t c = 0; c < kChannels; ++c) frame[c] = channels[c][n - 1];
-      cache.append({frame, kChannels});
-      // Probe at several prefix lengths, including consecutive ones (the
-      // streaming cadence) and after skipped appends (lazy advance).
-      if (n % 7 != 0 && n != total) continue;
-      for (std::size_t c = 0; c < kChannels; ++c)
-        windows[c] = std::span<const double>(channels[c].data(), n);
-      const std::span<const std::span<const double>> w(windows);
-      const auto incremental = cache.timing(w, cache_arena);
-      const auto batch = core::segment_timing(w, kRate, config, batch_arena);
-      expect_timing_equal(incremental, batch, n);
-    }
-  }
-}
-
-
-/// An adversarial window for order statistics: quantized noise (ties),
-/// runs of exact zeros, constant stretches, a few negative values and one
-/// huge outlier, over `total` samples.
-std::vector<double> adversarial_window(std::size_t total, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> noise(0.0, 6.0);
-  std::vector<double> out(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    const std::size_t phase = (i / 50) % 5;
-    if (phase == 1) {
-      out[i] = 0.0;  // a run of exact zeros
-    } else if (phase == 3) {
-      out[i] = 2.5;  // a constant stretch
-    } else {
-      out[i] = std::round(noise(rng) * 4.0) / 4.0;  // heavy ties
-      if (i % 97 == 13) out[i] = -out[i] - 0.25;
-    }
-  }
-  out[total / 3] = 1e300;  // one huge outlier
-  return out;
-}
-
-// The cache's noise-floor quantile (two heaps) must equal
-// common::quantile_sorted over a sorted copy of the same prefix, bit for
-// bit, at every prefix length — including across a reset that reuses the
-// heaps' capacity.
-TEST(OpenSegmentTiming, StreamingQuantileMatchesSortedOracle) {
-  constexpr std::size_t kTotal = 1100;
-  const std::vector<double> values = adversarial_window(kTotal, 77);
-  core::StreamingQuantile floor;
-  for (const double q :
-       {0.0, core::AscendingConfig{}.floor_quantile, 0.2, 0.5, 0.95, 1.0}) {
-    SCOPED_TRACE("q = " + std::to_string(q));
-    floor.reset(q);
-    std::vector<double> sorted;
-    for (std::size_t n = 1; n <= kTotal; ++n) {
-      const double v = values[n - 1];
-      floor.push(v);
-      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), v), v);
-      ASSERT_EQ(floor.size(), n);
-      expect_bits(floor.value(), common::quantile_sorted(sorted, q),
-                  ("prefix " + std::to_string(n)).c_str());
-    }
-  }
-}
-
-// The cache must also agree with the batch analysis over long windows
-// whose noise floor sits in ties, zero runs and constant stretches. The
-// outlier is swapped for a per-channel hump in scroll order, so channels
-// turn active one by one and the asymmetry path sweeps.
-TEST(OpenSegmentTiming, LongAdversarialWindowMatchesBatch) {
-  constexpr std::size_t kChannels = 3;
-  constexpr std::size_t kTotal = 1100;
-  constexpr double kRate = 100.0;
-  const core::TimingConfig config;
-  std::vector<std::vector<double>> channels;
-  for (std::size_t c = 0; c < kChannels; ++c) {
-    channels.push_back(adversarial_window(kTotal, 500 + c));
-    auto& ch = channels.back();
-    const double centre = 300.0 + 250.0 * static_cast<double>(c);
-    for (std::size_t i = 0; i < kTotal; ++i) {
-      const double d = (static_cast<double>(i) - centre) / 20.0;
-      ch[i] = std::fabs(ch[i]) + 60.0 * std::exp(-0.5 * d * d);
-    }
-    ch[kTotal / 3] = 3.0;
-  }
-
-  core::OpenSegmentTiming cache;
-  cache.configure(kChannels, kRate, config);
-  common::ScratchArena cache_arena;
-  common::ScratchArena batch_arena;
-  double frame[kChannels];
-  std::vector<std::span<const double>> windows(kChannels);
-  for (std::size_t n = 1; n <= kTotal; ++n) {
-    for (std::size_t c = 0; c < kChannels; ++c) frame[c] = channels[c][n - 1];
-    cache.append({frame, kChannels});
-    for (std::size_t c = 0; c < kChannels; ++c)
-      windows[c] = std::span<const double>(channels[c].data(), n);
-    const std::span<const std::span<const double>> w(windows);
-    const auto incremental = cache.timing(w, cache_arena);
-    const auto batch = core::segment_timing(w, kRate, config, batch_arena);
-    expect_timing_equal(incremental, batch, n);
   }
 }
 

@@ -84,7 +84,6 @@ TEST(IncrementalProbe, TimingMatchesBatchAtEveryPrefixLength) {
     core::OpenSegmentTiming cache;
     cache.configure(kChannels, kRate, config);
     cache.begin_segment();
-    common::ScratchArena cache_arena;
     common::ScratchArena batch_arena;
     double frame[kChannels];
     std::vector<std::span<const double>> windows(kChannels);
@@ -95,7 +94,7 @@ TEST(IncrementalProbe, TimingMatchesBatchAtEveryPrefixLength) {
       for (std::size_t c = 0; c < kChannels; ++c)
         windows[c] = std::span<const double>(channels[c].data(), n);
       const std::span<const std::span<const double>> w(windows);
-      const auto incremental = cache.timing(w, cache_arena);
+      const auto incremental = cache.timing(w);
       const auto batch = core::segment_timing(w, kRate, config, batch_arena);
       expect_timing_equal(incremental, batch, n);
     }
@@ -117,7 +116,6 @@ TEST(IncrementalProbe, UnchangedRefreshImpliesIdenticalRouterInputs) {
   core::OpenSegmentTiming cache;
   cache.configure(kChannels, kRate, config);
   cache.begin_segment();
-  common::ScratchArena arena;
   double frame[kChannels];
   std::vector<std::span<const double>> windows(kChannels);
   core::SegmentTiming prev;
@@ -133,7 +131,7 @@ TEST(IncrementalProbe, UnchangedRefreshImpliesIdenticalRouterInputs) {
     // Idempotent re-entry: a second refresh over the same window reports
     // the same verdict (the probe may be re-run without a new append).
     EXPECT_EQ(cache.refresh(w), changed);
-    const auto timing = cache.timing(w, arena);
+    const auto timing = cache.timing(w);
     if (!changed) {
       ASSERT_TRUE(have_prev);
       ++unchanged_frames;

@@ -62,7 +62,7 @@ cmake -B "${ASAN_BUILD}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAF_SANITIZE=address,undefined
 cmake --build "${ASAN_BUILD}" -j \
-  --target bundle_test features_test serialize_test core_test parallel_test spsc_ring_test host_shard_test probe_test compiled_forest_test simd_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
+  --target bundle_test features_test serialize_test core_test parallel_test spsc_ring_test host_shard_test probe_test compiled_forest_test timing_cache_test simd_test fault_injection_test artifact_test obs_test obs_pipeline_test trace_test
 "${ASAN_BUILD}/tests/bundle_test"
 "${ASAN_BUILD}/tests/features_test"
 "${ASAN_BUILD}/tests/serialize_test"
@@ -72,6 +72,7 @@ cmake --build "${ASAN_BUILD}" -j \
 "${ASAN_BUILD}/tests/host_shard_test"
 "${ASAN_BUILD}/tests/probe_test"
 "${ASAN_BUILD}/tests/compiled_forest_test"
+"${ASAN_BUILD}/tests/timing_cache_test"
 "${ASAN_BUILD}/tests/simd_test"
 "${ASAN_BUILD}/tests/fault_injection_test"
 "${ASAN_BUILD}/tests/artifact_test"
